@@ -158,19 +158,10 @@ inline RunResult run_crl(std::uint32_t procs,
   r.mbytes = static_cast<double>(s.bytes_sent) / 1e6;
   // CRL has no spaces; surface its counters as one pseudo-space row so the
   // BENCH json schema is uniform across the Ace/CRL comparison.
-  const auto cs = rt.aggregate_stats();
   ace::obs::SpaceMetrics m;
   m.space = 0;
   m.protocol = "CRL-SC";
-  m.dsm.maps = cs.maps;
-  m.dsm.map_meta_misses = cs.map_misses;
-  m.dsm.start_reads = cs.start_reads;
-  m.dsm.read_misses = cs.read_misses;
-  m.dsm.start_writes = cs.start_writes;
-  m.dsm.write_misses = cs.write_misses;
-  m.dsm.invalidations = cs.invalidations;
-  m.dsm.recalls = cs.recalls;
-  m.dsm.fetches = cs.fetches;
+  m.dsm = rt.aggregate_stats();
   m.msgs = s.msgs_sent;
   m.bytes = s.bytes_sent;
   r.spaces.push_back(std::move(m));

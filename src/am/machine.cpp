@@ -341,9 +341,6 @@ void Proc::set_delivery(std::unique_ptr<DeliveryPolicy> policy) {
   hold_spin_armed_ = false;
 }
 
-Machine::Machine(std::uint32_t nprocs, CostModel cost)
-    : Machine(MachineOptions{.nprocs = nprocs, .cost_model = cost}, nullptr) {}
-
 std::unique_ptr<Machine> Machine::create(const MachineOptions& opts) {
   ACE_CHECK(opts.nprocs >= 1);
   std::unique_ptr<Transport> transport;

@@ -13,9 +13,8 @@
 //     same program SPMD, and exit when the Machine is destroyed (so code
 //     after destruction runs on rank 0 only — where benches report).
 //
-// Construction goes through Machine::create(MachineOptions); the old
-// Machine(nprocs, cost) constructor is a deprecated wrapper that always
-// builds the thread backend.
+// Construction goes through Machine::create(MachineOptions), the one way
+// to build a Machine on either backend.
 //
 // The delivery discipline on both backends is CRL's polling model, which
 // the paper's runtime inherits:
@@ -249,11 +248,6 @@ class Machine {
   /// children executing the same program from this call (SPMD).  Everything
   /// after the Machine's destruction runs on rank 0 only.
   static std::unique_ptr<Machine> create(const MachineOptions& opts);
-
-  /// Deprecated: thread-backend construction predating MachineOptions.
-  /// Equivalent to *create({.nprocs = nprocs, .cost_model = cost}); prefer
-  /// the factory, which can build either backend.
-  explicit Machine(std::uint32_t nprocs, CostModel cost = {});
 
   ~Machine();
   Machine(const Machine&) = delete;

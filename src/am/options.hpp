@@ -4,9 +4,8 @@
 // process under modeled time".  With a second, multi-process socket backend
 // the construction parameters (which backend, which cost model, which time
 // source, how patient the deadlock watchdog is) became part of the API, so
-// they live in one options struct consumed by Machine::create.  The old
-// Machine(nprocs, cost) constructor survives as a thin deprecated wrapper
-// that always builds the thread backend.
+// they live in one options struct consumed by Machine::create, the only
+// way to construct a Machine.
 #pragma once
 
 #include <cstddef>

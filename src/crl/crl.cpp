@@ -28,18 +28,6 @@ double bits_double(std::uint64_t b) {
 }
 }  // namespace
 
-void CrlStats::merge(const CrlStats& o) {
-  maps += o.maps;
-  map_misses += o.map_misses;
-  start_reads += o.start_reads;
-  read_misses += o.read_misses;
-  start_writes += o.start_writes;
-  write_misses += o.write_misses;
-  invalidations += o.invalidations;
-  recalls += o.recalls;
-  fetches += o.fetches;
-}
-
 CrlRuntime::CrlRuntime(Machine& machine) : machine_(machine) {
   procs_.resize(machine.nprocs());
   h_op_ = machine_.register_handler(
@@ -79,20 +67,20 @@ CrlProc& CrlRuntime::cur() {
   return *tls_proc;
 }
 
-CrlStats CrlRuntime::aggregate_stats() const {
-  CrlStats s;
+DsmStats CrlRuntime::aggregate_stats() const {
+  DsmStats s;
   for (const auto& p : procs_)
     if (p) s.merge(p->stats_);
   if (machine_.multiprocess()) {
     // Collective on the process backend (same contract as the Ace
     // runtime's aggregators): rank 0 returns the machine-wide merge.
-    std::vector<std::byte> mine(sizeof(CrlStats));
+    std::vector<std::byte> mine(sizeof(DsmStats));
     std::memcpy(mine.data(), &s, sizeof s);
     const auto blobs = machine_.gather_blobs(mine);
     if (machine_.is_primary()) {
-      CrlStats total;
+      DsmStats total;
       for (const auto& b : blobs) {
-        CrlStats c;
+        DsmStats c;
         ACE_CHECK(b.size() == sizeof c);
         std::memcpy(&c, b.data(), sizeof c);
         total.merge(c);
@@ -120,28 +108,19 @@ void CrlProc::dump_state(std::ostream& os) {
   regions_.for_each([&](Region& r) {
     os << "    region " << std::hex << "0x" << r.id() << std::dec
        << (r.is_home() ? " home(self)" : "") << " home=" << r.home_proc()
-       << " rstate=" << rstate(r) << " pstate=0x" << std::hex << r.pstate
-       << std::dec << " maps=" << r.map_count << " rd=" << r.active_readers
+       << " pstate=0x" << std::hex << r.pstate << std::dec
+       << " maps=" << r.map_count << " rd=" << r.active_readers
        << " wr=" << r.active_writers << " op_done=" << r.op_done;
-    if (auto* dir = dynamic_cast<HomeDir*>(r.ext.get())) {
-      os << " dir{owner=";
-      if (dir->owner == ace::dsm::kNoProc)
-        os << "-";
-      else
-        os << dir->owner;
-      os << " sharers=" << dir->sharers.size() << " busy=" << dir->busy
-         << " pending_acks=" << dir->pending_acks
-         << " queue=" << dir->queue.size() << "}";
-    }
+    Engine::dump(os, r);
     os << "\n";
   });
   os << "    collective: flag=" << coll_.flag << " arrived=" << coll_.arrived
      << " buf=" << coll_.buf.size() << "B\n";
 }
 
-void CrlProc::send_op(ProcId dst, rid_t rid, Op op, std::uint64_t a,
-                      ace::am::PayloadRef payload) {
-  proc_.send(dst, rt_.h_op_, {rid, op, a}, std::move(payload));
+void CrlProc::send(ProcId dst, Region& r, std::uint32_t op, std::uint64_t a,
+                   ace::am::PayloadRef payload) {
+  proc_.send(dst, rt_.h_op_, {r.id(), op, a}, std::move(payload));
 }
 
 void CrlProc::install(Region& r, const ace::am::PayloadRef& payload) {
@@ -183,9 +162,9 @@ void* CrlProc::map(rid_t rid) {
     ACE_CHECK(again == r);
   }
   if (!r->meta_valid()) {
-    stats_.map_misses += 1;
+    stats_.map_meta_misses += 1;
     r->op_done = false;
-    send_op(ace::dsm::region_home(rid), rid, kMapReq);
+    send(ace::dsm::region_home(rid), *r, kMapReq, 0, {});
     proc_.charge_rtt();
     proc_.wait_until([r] { return r->op_done; });
   }
@@ -207,19 +186,7 @@ void CrlProc::start_read(void* mapped) {
   Region& r = *Region::from_data(mapped);
   stats_.start_reads += 1;
   proc_.charge(proc_.machine().cost().crl_op_ns);
-  if (r.is_home()) {
-    auto& dir = r.ext_as<HomeDir>();
-    while (dir.owner != ace::dsm::kNoProc || dir.busy)
-      home_request(r, HomeDir::Kind::kLocalRead);
-  } else {
-    while (rstate(r) == kRemoteInvalid) {
-      stats_.read_misses += 1;
-      r.op_done = false;
-      send_op(r.home_proc(), r.id(), kReadReq);
-      proc_.charge_rtt();
-      proc_.wait_until([&r] { return r.op_done; });
-    }
-  }
+  engine_.start_read(r);
   r.active_readers += 1;
 }
 
@@ -228,10 +195,7 @@ void CrlProc::end_read(void* mapped) {
   ACE_CHECK_MSG(r.active_readers > 0, "rgn_end_read without start");
   proc_.charge(proc_.machine().cost().crl_op_ns);
   r.active_readers -= 1;
-  if (r.is_home())
-    maybe_finish_local_drain(r);
-  else
-    maybe_finish_deferred_remote(r);
+  engine_.end_access(r);
 }
 
 void CrlProc::start_write(void* mapped) {
@@ -239,23 +203,7 @@ void CrlProc::start_write(void* mapped) {
   Region& r = *Region::from_data(mapped);
   stats_.start_writes += 1;
   proc_.charge(proc_.machine().cost().crl_op_ns);
-  if (r.is_home()) {
-    ACE_CHECK_MSG(r.active_readers == 0,
-                  "home write while holding a read on the same region");
-    auto& dir = r.ext_as<HomeDir>();
-    while (dir.owner != ace::dsm::kNoProc || !dir.sharers.empty() || dir.busy)
-      home_request(r, HomeDir::Kind::kLocalWrite);
-  } else {
-    ACE_CHECK_MSG(rstate(r) == kRemoteModified || r.active_readers == 0,
-                  "write upgrade while holding a read on the same region");
-    while (rstate(r) != kRemoteModified) {
-      stats_.write_misses += 1;
-      r.op_done = false;
-      send_op(r.home_proc(), r.id(), kWriteReq);
-      proc_.charge_rtt();
-      proc_.wait_until([&r] { return r.op_done; });
-    }
-  }
+  engine_.start_write(r);
   r.active_writers += 1;
 }
 
@@ -264,204 +212,10 @@ void CrlProc::end_write(void* mapped) {
   ACE_CHECK_MSG(r.active_writers > 0, "rgn_end_write without start");
   proc_.charge(proc_.machine().cost().crl_op_ns);
   r.active_writers -= 1;
-  if (r.is_home())
-    maybe_finish_local_drain(r);
-  else
-    maybe_finish_deferred_remote(r);
+  engine_.end_access(r);
 }
 
 void CrlProc::barrier() { proc_.barrier(); }
-
-// --- protocol: requester-side deferred work ---------------------------------
-
-void CrlProc::maybe_finish_deferred_remote(Region& r) {
-  if (r.active_readers != 0 || r.active_writers != 0) return;
-  r.pstate &= ~kFreshGrant;
-  if (r.pstate & kPendingInv) {
-    r.pstate = kRemoteInvalid;
-    send_op(r.home_proc(), r.id(), kInvAck);
-  } else if (r.pstate & kPendingRecallShared) {
-    set_rstate(r, kRemoteShared);
-    r.pstate &= ~kPendingRecallShared;
-    send_op(r.home_proc(), r.id(), kRecallData, /*shared=*/1, snapshot(r));
-  } else if (r.pstate & kPendingRecallExcl) {
-    r.pstate = kRemoteInvalid;
-    send_op(r.home_proc(), r.id(), kRecallData, /*shared=*/0, snapshot(r));
-  }
-}
-
-void CrlProc::maybe_finish_local_drain(Region& r) {
-  if (r.active_readers != 0 || r.active_writers != 0) return;
-  auto& dir = r.ext_as<HomeDir>();
-  if (dir.busy && dir.waiting_local_drain) complete_pending(r);
-}
-
-// --- protocol: home side -----------------------------------------------------
-
-void CrlProc::home_request(Region& r, HomeDir::Kind kind) {
-  r.op_done = false;
-  enqueue_or_serve(r, kind, me());
-  if (!r.op_done) proc_.charge_rtt();
-  proc_.wait_until([&r] { return r.op_done; });
-}
-
-void CrlProc::enqueue_or_serve(Region& r, HomeDir::Kind kind,
-                               ProcId requester) {
-  auto& dir = r.ext_as<HomeDir>();
-  if (dir.busy)
-    dir.queue.emplace_back(kind, requester);
-  else
-    serve(r, kind, requester);
-}
-
-void CrlProc::serve(Region& r, HomeDir::Kind kind, ProcId requester,
-                    bool deferred) {
-  auto& dir = r.ext_as<HomeDir>();
-  ACE_DCHECK(!dir.busy);
-  using Kind = HomeDir::Kind;
-  switch (kind) {
-    case Kind::kRemoteRead: {
-      if (r.active_writers > 0) {
-        dir.busy = dir.waiting_local_drain = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        return;
-      }
-      if (dir.owner != ace::dsm::kNoProc) {
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        stats_.recalls += 1;
-        send_op(dir.owner, r.id(), kRecallShared);
-        return;
-      }
-      if (std::find(dir.sharers.begin(), dir.sharers.end(), requester) ==
-          dir.sharers.end())
-        dir.sharers.push_back(requester);
-      stats_.fetches += 1;
-      send_op(requester, r.id(), kReadData, deferred ? 1 : 0, snapshot(r));
-      return;
-    }
-    case Kind::kRemoteWrite: {
-      if (r.active_readers > 0 || r.active_writers > 0) {
-        dir.busy = dir.waiting_local_drain = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        return;
-      }
-      if (dir.owner != ace::dsm::kNoProc) {
-        ACE_CHECK(dir.owner != requester);
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        stats_.recalls += 1;
-        send_op(dir.owner, r.id(), kRecallExcl);
-        return;
-      }
-      std::uint32_t invs = 0;
-      for (ProcId s : dir.sharers)
-        if (s != requester) {
-          send_op(s, r.id(), kInv);
-          invs += 1;
-        }
-      if (invs > 0) {
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        dir.pending_acks = invs;
-        stats_.invalidations += invs;
-        return;
-      }
-      grant_write(r, requester, deferred);
-      return;
-    }
-    case Kind::kLocalRead: {
-      if (dir.owner != ace::dsm::kNoProc) {
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        stats_.recalls += 1;
-        send_op(dir.owner, r.id(), kRecallShared);
-        return;
-      }
-      r.op_done = true;
-      return;
-    }
-    case Kind::kLocalWrite: {
-      if (dir.owner != ace::dsm::kNoProc) {
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        stats_.recalls += 1;
-        send_op(dir.owner, r.id(), kRecallExcl);
-        return;
-      }
-      if (!dir.sharers.empty()) {
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        dir.pending_acks = static_cast<std::uint32_t>(dir.sharers.size());
-        stats_.invalidations += dir.pending_acks;
-        for (ProcId s : dir.sharers) send_op(s, r.id(), kInv);
-        return;
-      }
-      r.op_done = true;
-      return;
-    }
-    case Kind::kNone:
-      ACE_CHECK(false);
-  }
-}
-
-void CrlProc::grant_write(Region& r, ProcId requester, bool deferred) {
-  auto& dir = r.ext_as<HomeDir>();
-  const bool upgrade =
-      std::find(dir.sharers.begin(), dir.sharers.end(), requester) !=
-      dir.sharers.end();
-  dir.sharers.clear();
-  dir.owner = requester;
-  stats_.fetches += 1;
-  const std::uint64_t d = deferred ? 1 : 0;
-  if (upgrade)
-    send_op(requester, r.id(), kUpgradeAck, d);
-  else
-    send_op(requester, r.id(), kWriteData, d, snapshot(r));
-}
-
-void CrlProc::complete_pending(Region& r) {
-  auto& dir = r.ext_as<HomeDir>();
-  ACE_DCHECK(dir.busy);
-  using Kind = HomeDir::Kind;
-  const Kind kind = dir.kind;
-  const ProcId requester = dir.requester;
-  dir.busy = false;
-  dir.waiting_local_drain = false;
-  dir.kind = Kind::kNone;
-  dir.requester = ace::dsm::kNoProc;
-  switch (kind) {
-    case Kind::kRemoteRead:
-      serve(r, Kind::kRemoteRead, requester, /*deferred=*/true);
-      break;
-    case Kind::kRemoteWrite:
-      if (r.active_readers > 0 || r.active_writers > 0 ||
-          dir.owner != ace::dsm::kNoProc)
-        serve(r, Kind::kRemoteWrite, requester, /*deferred=*/true);
-      else
-        grant_write(r, requester, /*deferred=*/true);
-      break;
-    case Kind::kLocalRead:
-    case Kind::kLocalWrite:
-      r.op_done = true;
-      break;
-    case Kind::kNone:
-      ACE_CHECK(false);
-  }
-  while (!dir.busy && !dir.queue.empty()) {
-    auto [k, req] = dir.queue.front();
-    dir.queue.pop_front();
-    serve(r, k, req);
-  }
-}
 
 // --- message handling ---------------------------------------------------------
 
@@ -473,91 +227,20 @@ void CrlProc::handle(Message& m) {
                   "CRL message names an unknown home region");
     r = &regions_.create_remote(rid);
   }
-  switch (static_cast<Op>(m.args[1])) {
+  const auto op = static_cast<std::uint32_t>(m.args[1]);
+  switch (op) {
     case kMapReq:
       ACE_CHECK(r->is_home());
-      send_op(m.src, rid, kMapAck, r->size());
+      send(m.src, *r, kMapAck, r->size(), {});
       return;
     case kMapAck:
       r->set_meta(static_cast<std::uint32_t>(m.args[2]), 0);
       r->op_done = true;
       return;
-    case kReadReq:
-      enqueue_or_serve(*r, HomeDir::Kind::kRemoteRead, m.src);
-      return;
-    case kWriteReq:
-      enqueue_or_serve(*r, HomeDir::Kind::kRemoteWrite, m.src);
-      return;
-    case kReadData:
-      if (m.args[2] == 1) proc_.charge_rtt();  // grant needed a recall round
-      install(*r, m.payload);
-      set_rstate(*r, kRemoteShared);
-      r->pstate |= kFreshGrant;
-      r->op_done = true;
-      return;
-    case kWriteData:
-      if (m.args[2] == 1) proc_.charge_rtt();
-      install(*r, m.payload);
-      set_rstate(*r, kRemoteModified);
-      r->pstate |= kFreshGrant;
-      r->op_done = true;
-      return;
-    case kUpgradeAck:
-      if (m.args[2] == 1) proc_.charge_rtt();
-      set_rstate(*r, kRemoteModified);
-      r->pstate |= kFreshGrant;
-      r->op_done = true;
-      return;
-    case kInv:
-      ACE_CHECK_MSG(rstate(*r) == kRemoteShared, "INV for a non-shared copy");
-      if (r->active_readers > 0 || (r->pstate & kFreshGrant) != 0) {
-        r->pstate |= kPendingInv;
-      } else {
-        r->pstate = kRemoteInvalid;
-        send_op(r->home_proc(), rid, kInvAck);
-      }
-      return;
-    case kInvAck: {
-      auto& dir = r->ext_as<HomeDir>();
-      ACE_DCHECK(dir.busy && dir.pending_acks > 0);
-      // The acker's copy is gone; drop it from the directory, or the next
-      // write would re-invalidate an already-invalid copy.
-      dir.sharers.erase(
-          std::remove(dir.sharers.begin(), dir.sharers.end(), m.src),
-          dir.sharers.end());
-      if (--dir.pending_acks == 0) complete_pending(*r);
-      return;
-    }
-    case kRecallShared:
-      ACE_CHECK_MSG(rstate(*r) == kRemoteModified, "recall of non-owned copy");
-      if (r->active_writers > 0 || (r->pstate & kFreshGrant) != 0) {
-        r->pstate |= kPendingRecallShared;
-      } else {
-        set_rstate(*r, kRemoteShared);
-        send_op(r->home_proc(), rid, kRecallData, /*shared=*/1, snapshot(*r));
-      }
-      return;
-    case kRecallExcl:
-      ACE_CHECK_MSG(rstate(*r) == kRemoteModified, "recall of non-owned copy");
-      if (r->active_writers > 0 || r->active_readers > 0 ||
-          (r->pstate & kFreshGrant) != 0) {
-        r->pstate |= kPendingRecallExcl;
-      } else {
-        r->pstate = kRemoteInvalid;
-        send_op(r->home_proc(), rid, kRecallData, /*shared=*/0, snapshot(*r));
-      }
-      return;
-    case kRecallData: {
-      auto& dir = r->ext_as<HomeDir>();
-      ACE_DCHECK(dir.busy);
-      install(*r, m.payload);
-      if (m.args[2] == 1) dir.sharers.push_back(m.src);
-      dir.owner = ace::dsm::kNoProc;
-      complete_pending(*r);
-      return;
-    }
+    default:
+      // No space dispatch: every other opcode is the directory engine's.
+      engine_.on_message(*r, op, m.src, m.args[2], m.payload);
   }
-  ACE_CHECK_MSG(false, "unknown CRL opcode");
 }
 
 // --- collectives ---------------------------------------------------------------

@@ -2,35 +2,35 @@
 // programming interface and its fixed sequentially consistent
 // invalidation-based protocol (Johnson, Kaashoek, Wallach, SOSP '95).
 //
-// This is the comparison system for Figure 7a.  It differs from the Ace
-// runtime in exactly the ways §5.1 attributes the performance gap to:
+// This is the comparison system for Figure 7a.  It runs the same MSI
+// home-directory engine as Ace's SC protocol (dsm::DirectoryEngine,
+// dsm/directory.hpp), so the two systems make the same coherence traffic,
+// and differs from the Ace runtime in exactly the ways §5.1 attributes the
+// performance gap to:
 //
 //   * mapping uses CRL's two-level mapped-table + unmapped-region-cache
 //     (URC) path (dsm::UrcMapper) — slower per rgn_map, with URC eviction
 //     costs on working sets larger than the URC;
 //   * the protocol fast path is the stock CRL state walk (charged at
 //     CostModel::crl_op_ns), not Ace's redesigned one — but CRL pays *no*
-//     space->protocol dispatch indirection, which is why coarse-grained
-//     applications (BSC) come out even;
+//     space->protocol dispatch indirection (it calls the engine directly),
+//     which is why coarse-grained applications (BSC) come out even;
 //   * there are no spaces, no pluggable protocols, and no user-visible
 //     synchronization beyond the global barrier — shared variables all look
 //     alike ("In CRL, shared variables all have the same type", §1.1).
-//
-// The coherence state machine is the standard home-directory MSI over
-// regions; handlers never block and multi-step transitions are
-// continuation-based at the home, mirroring CRL's design.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
 #include <vector>
 
 #include "am/machine.hpp"
+#include "dsm/directory.hpp"
 #include "dsm/mapper.hpp"
 #include "dsm/region.hpp"
+#include "obs/metrics.hpp"
 
 namespace crl {
 
@@ -40,21 +40,7 @@ using ace::am::Proc;
 using ace::am::ProcId;
 using rid_t = ace::dsm::RegionId;
 using ace::dsm::Region;
-
-/// CRL operation counters (aggregated for the Figure 7a harness).
-struct CrlStats {
-  std::uint64_t maps = 0;
-  std::uint64_t map_misses = 0;
-  std::uint64_t start_reads = 0;
-  std::uint64_t read_misses = 0;
-  std::uint64_t start_writes = 0;
-  std::uint64_t write_misses = 0;
-  std::uint64_t invalidations = 0;
-  std::uint64_t recalls = 0;
-  std::uint64_t fetches = 0;
-
-  void merge(const CrlStats& o);
-};
+using ace::DsmStats;
 
 class CrlRuntime;
 
@@ -87,7 +73,10 @@ class CrlProc {
   Proc& proc() { return proc_; }
   ProcId me() const { return proc_.id(); }
   std::uint32_t nprocs() const { return proc_.nprocs(); }
-  CrlStats& stats() { return stats_; }
+  /// CRL's counters, in the Ace runtime's schema: maps, map_meta_misses,
+  /// start_reads/start_writes, and the engine's misses, invalidations,
+  /// recalls and fetches.
+  DsmStats& stats() { return stats_; }
 
   /// Write this processor's CRL state (regions, MSI states, home directory
   /// entries) for the machine's deadlock report; registered as the kCtxCrl
@@ -96,86 +85,30 @@ class CrlProc {
 
  private:
   friend class CrlRuntime;
+  friend class ace::dsm::DirectoryEngine<CrlProc>;
+  using Engine = ace::dsm::DirectoryEngine<CrlProc>;
 
-  /// Remote-copy state in Region::pstate (CRL's remote states).
-  enum RState : std::uint32_t {
-    kRemoteInvalid = 0,
-    kRemoteShared = 1,
-    kRemoteModified = 2,
-    kStateMask = 3,
-    kPendingInv = 1u << 2,
-    kPendingRecallShared = 1u << 3,
-    kPendingRecallExcl = 1u << 4,
-    /// Grant received but not yet used by the waiting access; defers a
-    /// recall/invalidation that arrives in the same delivery batch so every
-    /// grant is used at least once (see ScInvalidate::kFreshGrant — without
-    /// it, message coalescing turns the grant/recall race into a
-    /// deterministic livelock).  Set by the grant handlers, cleared when the
-    /// access episode drains (end_read/end_write).
-    kFreshGrant = 1u << 5,
-  };
-
-  /// Home directory entry (CRL's home states collapse into owner/sharers).
-  struct HomeDir : ace::dsm::RegionExt {
-    enum class Kind : std::uint8_t {
-      kNone,
-      kRemoteRead,
-      kRemoteWrite,
-      kLocalRead,
-      kLocalWrite
-    };
-    std::vector<ProcId> sharers;
-    ProcId owner = ace::dsm::kNoProc;
-    bool busy = false;
-    bool waiting_local_drain = false;
-    std::uint32_t pending_acks = 0;
-    Kind kind = Kind::kNone;
-    ProcId requester = ace::dsm::kNoProc;
-    std::deque<std::pair<Kind, ProcId>> queue;
-  };
-
+  /// CRL's own opcodes on the crl.op handler, numbered above the engine's.
   enum Op : std::uint32_t {
-    kMapReq,
+    kMapReq = Engine::kNumOps,
     kMapAck,
-    kReadReq,
-    kWriteReq,
-    kReadData,
-    kWriteData,
-    kUpgradeAck,
-    kInv,
-    kInvAck,
-    kRecallShared,
-    kRecallExcl,
-    kRecallData,
   };
 
   void handle(Message& m);
-  void send_op(ProcId dst, rid_t rid, Op op, std::uint64_t a = 0,
-               ace::am::PayloadRef payload = {});
-  void home_request(Region& r, HomeDir::Kind kind);
-  void enqueue_or_serve(Region& r, HomeDir::Kind kind, ProcId requester);
-  /// `deferred`: the grant needed a recall/invalidation round first; the
-  /// reply carries the flag so the requester charges the second round trip.
-  void serve(Region& r, HomeDir::Kind kind, ProcId requester,
-             bool deferred = false);
-  void grant_write(Region& r, ProcId requester, bool deferred);
-  void complete_pending(Region& r);
-  void maybe_finish_deferred_remote(Region& r);
-  void maybe_finish_local_drain(Region& r);
+
+  // --- the engine's host interface ---
+  void send(ProcId dst, Region& r, std::uint32_t op, std::uint64_t a,
+            ace::am::PayloadRef payload);
   void install(Region& r, const ace::am::PayloadRef& payload);
   ace::am::PayloadRef snapshot(Region& r);
-
-  static std::uint32_t rstate(const Region& r) { return r.pstate & kStateMask; }
-  static void set_rstate(Region& r, std::uint32_t s) {
-    r.pstate = (r.pstate & ~kStateMask) | s;
-  }
 
   CrlRuntime& rt_;
   Proc& proc_;
   ace::dsm::RegionSet regions_;
   ace::dsm::UrcMapper mapper_;
   std::uint64_t next_seq_ = 1;
-  CrlStats stats_;
+  DsmStats stats_;
+  Engine engine_{*this};
 
   struct Collective {
     bool flag = false;
@@ -196,7 +129,7 @@ class CrlRuntime {
   Machine& machine() { return machine_; }
   void run(const std::function<void(CrlProc&)>& fn);
   static CrlProc& cur();
-  CrlStats aggregate_stats() const;
+  DsmStats aggregate_stats() const;
 
  private:
   friend class CrlProc;

@@ -3,6 +3,7 @@
 // home_write for ValidBitBlock, sc_invalidate for DirectoryBlock, migratory
 // for OwnerBlock) action for action — the monolith-vs-stack equivalence
 // suite in tests/test_protocols.cpp holds them to bit-identical DsmStats.
+// DirectoryBlock's state machine is dsm::DirectoryEngine (dsm/directory.hpp).
 #include "protocols/blocks.hpp"
 
 namespace ace::protocols::blocks {
@@ -260,373 +261,6 @@ void ValidBitBlock::on_message(Region& r, std::uint32_t op, am::Message& m) {
       return;
   }
   ACE_CHECK_MSG(false, "unknown valid_bit stack opcode");
-}
-
-// --- DirectoryBlock --------------------------------------------------------
-
-using DirKind = DirectoryBlock::HomeDir::Kind;
-
-void DirectoryBlock::start_read(Region& r) {
-  if (r.is_home()) {
-    auto& dir = r.ext_as<HomeDir>();
-    // Home data is valid whenever no remote holds exclusivity.  Loop: a
-    // queued remote write may steal exclusivity back in the same poll batch
-    // that completed our request.
-    while (dir.owner != dsm::kNoProc || dir.busy)
-      home_request(r, DirKind::kLocalRead);
-    return;
-  }
-  while (rstate(r) == kInvalid) {
-    rp_.dstats(space_id_).read_misses += 1;
-    rp_.blocking_request(
-        r, [&] { rp_.send_proto(r.home_proc(), r.id(), kReadReq); });
-  }
-}
-
-void DirectoryBlock::start_write(Region& r) {
-  if (r.is_home()) {
-    ACE_CHECK_MSG(r.active_readers == 0,
-                  "home write while holding a read on the same region");
-    auto& dir = r.ext_as<HomeDir>();
-    while (dir.owner != dsm::kNoProc || !dir.sharers.empty() || dir.busy)
-      home_request(r, DirKind::kLocalWrite);
-    return;
-  }
-  ACE_CHECK_MSG(rstate(r) == kModified || r.active_readers == 0,
-                "write upgrade while holding a read on the same region");
-  while (rstate(r) != kModified) {
-    rp_.dstats(space_id_).write_misses += 1;
-    rp_.blocking_request(
-        r, [&] { rp_.send_proto(r.home_proc(), r.id(), kWriteReq); });
-  }
-}
-
-void DirectoryBlock::end_read(Region& r) {
-  if (r.is_home()) {
-    maybe_finish_local_drain(r);
-    return;
-  }
-  maybe_finish_deferred_remote(r);
-}
-
-void DirectoryBlock::end_write(Region& r) {
-  if (r.is_home()) {
-    maybe_finish_local_drain(r);
-    return;
-  }
-  maybe_finish_deferred_remote(r);
-}
-
-void DirectoryBlock::maybe_finish_deferred_remote(Region& r) {
-  if (r.active_readers != 0 || r.active_writers != 0) return;
-  r.pstate &= ~kFreshGrant;
-  if (r.pstate & kPendingInv) {
-    ACE_DCHECK(rstate(r) == kShared);
-    r.pstate = kInvalid;
-    rp_.send_proto(r.home_proc(), r.id(), kInvAck);
-  } else if (r.pstate & kPendingRecallShared) {
-    set_rstate(r, kShared);
-    r.pstate &= ~kPendingRecallShared;
-    rp_.send_proto(r.home_proc(), r.id(), kRecallData, /*shared=*/1, 0,
-                   rp_.snapshot(r));
-  } else if (r.pstate & kPendingRecallExcl) {
-    r.pstate = kInvalid;
-    rp_.send_proto(r.home_proc(), r.id(), kRecallData, /*shared=*/0, 0,
-                   rp_.snapshot(r));
-  }
-}
-
-void DirectoryBlock::home_request(Region& r, DirKind kind) {
-  r.op_done = false;
-  enqueue_or_serve(r, kind, rp_.me());
-  // If the op did not complete synchronously, the home stalls for at least
-  // one remote round trip (invalidations or a recall).
-  if (!r.op_done) rp_.proc().charge_rtt();
-  rp_.proc().wait_until([&r] { return r.op_done; });
-}
-
-void DirectoryBlock::enqueue_or_serve(Region& r, DirKind kind,
-                                      am::ProcId requester) {
-  auto& dir = r.ext_as<HomeDir>();
-  if (dir.busy)
-    dir.queue.emplace_back(kind, requester);
-  else
-    serve(r, kind, requester);
-}
-
-void DirectoryBlock::serve(Region& r, DirKind kind, am::ProcId requester,
-                           bool deferred) {
-  auto& dir = r.ext_as<HomeDir>();
-  ACE_DCHECK(!dir.busy);
-  switch (kind) {
-    case DirKind::kRemoteRead: {
-      if (r.active_writers > 0) {
-        // Home itself is writing; defer until its end_write.
-        dir.busy = true;
-        dir.waiting_local_drain = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        return;
-      }
-      if (dir.owner != dsm::kNoProc) {
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        rp_.dstats(space_id_).recalls += 1;
-        rp_.send_proto(dir.owner, r.id(), kRecallShared);
-        return;
-      }
-      if (std::find(dir.sharers.begin(), dir.sharers.end(), requester) ==
-          dir.sharers.end())
-        dir.sharers.push_back(requester);
-      rp_.dstats(space_id_).fetches += 1;
-      rp_.send_proto(requester, r.id(), kReadData, deferred ? 1 : 0, 0,
-                     rp_.snapshot(r));
-      return;
-    }
-    case DirKind::kRemoteWrite: {
-      if (r.active_readers > 0 || r.active_writers > 0) {
-        dir.busy = true;
-        dir.waiting_local_drain = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        return;
-      }
-      if (dir.owner != dsm::kNoProc) {
-        ACE_CHECK_MSG(dir.owner != requester,
-                      "owner re-requesting exclusivity it already holds");
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        rp_.dstats(space_id_).recalls += 1;
-        rp_.send_proto(dir.owner, r.id(), kRecallExcl);
-        return;
-      }
-      std::uint32_t invs = 0;
-      for (am::ProcId s : dir.sharers)
-        if (s != requester) {
-          rp_.send_proto(s, r.id(), kInv);
-          invs += 1;
-        }
-      if (invs > 0) {
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        dir.pending_acks = invs;
-        rp_.dstats(space_id_).invalidations += invs;
-        return;
-      }
-      grant_write(r, requester, deferred);
-      return;
-    }
-    case DirKind::kLocalRead: {
-      if (dir.owner != dsm::kNoProc) {
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        rp_.dstats(space_id_).recalls += 1;
-        rp_.send_proto(dir.owner, r.id(), kRecallShared);
-        return;
-      }
-      r.op_done = true;  // home data already valid
-      return;
-    }
-    case DirKind::kLocalWrite: {
-      if (dir.owner != dsm::kNoProc) {
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        rp_.dstats(space_id_).recalls += 1;
-        rp_.send_proto(dir.owner, r.id(), kRecallExcl);
-        return;
-      }
-      if (!dir.sharers.empty()) {
-        dir.busy = true;
-        dir.kind = kind;
-        dir.requester = requester;
-        dir.pending_acks = static_cast<std::uint32_t>(dir.sharers.size());
-        rp_.dstats(space_id_).invalidations += dir.pending_acks;
-        for (am::ProcId s : dir.sharers) rp_.send_proto(s, r.id(), kInv);
-        return;
-      }
-      r.op_done = true;
-      return;
-    }
-    case DirKind::kNone:
-      ACE_CHECK(false);
-  }
-}
-
-void DirectoryBlock::grant_write(Region& r, am::ProcId requester,
-                                 bool deferred) {
-  auto& dir = r.ext_as<HomeDir>();
-  const bool upgrade =
-      std::find(dir.sharers.begin(), dir.sharers.end(), requester) !=
-      dir.sharers.end();
-  dir.sharers.clear();
-  dir.owner = requester;
-  rp_.dstats(space_id_).fetches += 1;
-  const std::uint64_t d = deferred ? 1 : 0;
-  if (upgrade)
-    rp_.send_proto(requester, r.id(), kUpgradeAck, d);
-  else
-    rp_.send_proto(requester, r.id(), kWriteData, d, 0, rp_.snapshot(r));
-}
-
-void DirectoryBlock::complete_pending(Region& r) {
-  auto& dir = r.ext_as<HomeDir>();
-  ACE_DCHECK(dir.busy);
-  const DirKind kind = dir.kind;
-  const am::ProcId requester = dir.requester;
-  dir.busy = false;
-  dir.waiting_local_drain = false;
-  dir.kind = DirKind::kNone;
-  dir.requester = dsm::kNoProc;
-  switch (kind) {
-    case DirKind::kRemoteRead:
-      // Re-run the request now that the blocking condition cleared; it will
-      // either complete or (if the home started another access meanwhile)
-      // re-defer.
-      serve(r, DirKind::kRemoteRead, requester, /*deferred=*/true);
-      break;
-    case DirKind::kRemoteWrite:
-      if (r.active_readers > 0 || r.active_writers > 0 ||
-          dir.owner != dsm::kNoProc) {
-        serve(r, DirKind::kRemoteWrite, requester, /*deferred=*/true);
-      } else {
-        // Sharers other than the requester were invalidated (or recalled);
-        // anything left is the requester itself, which grant_write upgrades.
-        grant_write(r, requester, /*deferred=*/true);
-      }
-      break;
-    case DirKind::kLocalRead:
-    case DirKind::kLocalWrite:
-      r.op_done = true;
-      break;
-    case DirKind::kNone:
-      ACE_CHECK(false);
-  }
-  drain_queue(r);
-}
-
-void DirectoryBlock::drain_queue(Region& r) {
-  auto& dir = r.ext_as<HomeDir>();
-  while (!dir.busy && !dir.queue.empty()) {
-    auto [kind, requester] = dir.queue.front();
-    dir.queue.pop_front();
-    // A completed local op only flips r.op_done; if the next queued op also
-    // completes synchronously the loop continues.
-    serve(r, kind, requester);
-  }
-}
-
-void DirectoryBlock::maybe_finish_local_drain(Region& r) {
-  if (r.active_readers != 0 || r.active_writers != 0) return;
-  auto& dir = r.ext_as<HomeDir>();
-  if (dir.busy && dir.waiting_local_drain) complete_pending(r);
-}
-
-void DirectoryBlock::on_message(Region& r, std::uint32_t op, am::Message& m) {
-  switch (static_cast<Op>(op)) {
-    case kReadReq:
-      enqueue_or_serve(r, DirKind::kRemoteRead, m.src);
-      return;
-    case kWriteReq:
-      enqueue_or_serve(r, DirKind::kRemoteWrite, m.src);
-      return;
-    case kReadData:
-      if (m.args[3] == 1) rp_.proc().charge_rtt();  // recall round first
-      rp_.install_data(r, m.payload);
-      set_rstate(r, kShared);
-      r.pstate |= kFreshGrant;
-      r.op_done = true;
-      return;
-    case kWriteData:
-      if (m.args[3] == 1) rp_.proc().charge_rtt();
-      rp_.install_data(r, m.payload);
-      set_rstate(r, kModified);
-      r.pstate |= kFreshGrant;
-      r.op_done = true;
-      return;
-    case kUpgradeAck:
-      if (m.args[3] == 1) rp_.proc().charge_rtt();
-      ACE_DCHECK(rstate(r) == kShared);
-      set_rstate(r, kModified);
-      r.pstate |= kFreshGrant;
-      r.op_done = true;
-      return;
-    case kInv:
-      ACE_CHECK_MSG(rstate(r) == kShared, "INV for a non-shared copy");
-      if (r.active_readers > 0 || (r.pstate & kFreshGrant) != 0) {
-        r.pstate |= kPendingInv;
-      } else {
-        r.pstate = kInvalid;
-        rp_.send_proto(r.home_proc(), r.id(), kInvAck);
-      }
-      return;
-    case kInvAck: {
-      auto& dir = r.ext_as<HomeDir>();
-      ACE_DCHECK(dir.busy && dir.pending_acks > 0);
-      // The acker's copy is gone; drop it from the directory, or the next
-      // write would re-invalidate an already-invalid copy.
-      dir.sharers.erase(
-          std::remove(dir.sharers.begin(), dir.sharers.end(), m.src),
-          dir.sharers.end());
-      if (--dir.pending_acks == 0) complete_pending(r);
-      return;
-    }
-    case kRecallShared:
-      ACE_CHECK_MSG(rstate(r) == kModified, "recall for a non-owned copy");
-      if (r.active_writers > 0 || (r.pstate & kFreshGrant) != 0) {
-        r.pstate |= kPendingRecallShared;
-      } else {
-        set_rstate(r, kShared);
-        rp_.send_proto(r.home_proc(), r.id(), kRecallData, /*shared=*/1, 0,
-                       rp_.snapshot(r));
-      }
-      return;
-    case kRecallExcl:
-      ACE_CHECK_MSG(rstate(r) == kModified, "recall for a non-owned copy");
-      if (r.active_writers > 0 || r.active_readers > 0 ||
-          (r.pstate & kFreshGrant) != 0) {
-        r.pstate |= kPendingRecallExcl;
-      } else {
-        r.pstate = kInvalid;
-        rp_.send_proto(r.home_proc(), r.id(), kRecallData, /*shared=*/0, 0,
-                       rp_.snapshot(r));
-      }
-      return;
-    case kRecallData: {
-      auto& dir = r.ext_as<HomeDir>();
-      ACE_DCHECK(dir.busy);
-      rp_.install_data(r, m.payload);
-      if (m.args[3] == 1)  // owner downgraded to sharer
-        dir.sharers.push_back(m.src);
-      dir.owner = dsm::kNoProc;
-      complete_pending(r);
-      return;
-    }
-    case kFlushMsg: {
-      // ChangeProtocol: a remote modified copy returns home.
-      auto& dir = r.ext_as<HomeDir>();
-      ACE_CHECK_MSG(!dir.busy, "flush while a transition is in progress");
-      rp_.install_data(r, m.payload);
-      dir.owner = dsm::kNoProc;
-      return;
-    }
-  }
-  ACE_CHECK_MSG(false, "unknown directory stack opcode");
-}
-
-void DirectoryBlock::flush() {
-  rp_.regions().for_each_in_space(space_id_, [&](Region& r) {
-    if (r.is_home()) return;
-    if (rstate(r) == kModified) {
-      rp_.dstats(space_id_).flushes += 1;
-      rp_.send_proto(r.home_proc(), r.id(), kFlushMsg, 0, 0, rp_.snapshot(r));
-    }
-    r.pstate = kInvalid;
-  });
 }
 
 // --- OwnerBlock ------------------------------------------------------------

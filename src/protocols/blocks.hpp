@@ -21,7 +21,8 @@
 //                      write and order blocks (covers the DynamicUpdate /
 //                      StaticUpdate / HomeWrite family and its new siblings);
 //   * DirectoryBlock — the full MSI home directory with exclusive recalls
-//                      (the SC engine);
+//                      (the SC engine; a host over dsm::DirectoryEngine,
+//                      which the CRL baseline runs too);
 //   * OwnerBlock     — single migrating owner (the Migratory engine).
 //
 // The driver that routes Protocol hooks into an engine is
@@ -35,6 +36,7 @@
 
 #include "ace/protocol.hpp"
 #include "ace/runtime.hpp"
+#include "dsm/directory.hpp"
 
 namespace ace::protocols::blocks {
 
@@ -195,86 +197,45 @@ class ValidBitBlock {
   std::uint32_t pending_acks_ = 0;
 };
 
-/// MSI home-directory engine with exclusive recalls: the SC protocol's
-/// mechanics (see sc_invalidate.cpp for the state-machine commentary; this
-/// is the same machine, hosted as a composable fetch stage).
+/// The SC fetch stage: the shared MSI home-directory engine
+/// (dsm::DirectoryEngine, dsm/directory.hpp) hosted over this processor's
+/// RuntimeProc, charging the space's counters.  CRL runs the same engine.
 class DirectoryBlock {
  public:
-  enum RState : std::uint32_t {
-    kInvalid = 0,
-    kShared = 1,
-    kModified = 2,
-    kStateMask = 3,
-    kPendingInv = 1u << 2,
-    kPendingRecallShared = 1u << 3,
-    kPendingRecallExcl = 1u << 4,
-    /// Grant received but not yet used: recalls/invalidations arriving in
-    /// the same delivery batch defer as if the access were in progress, so
-    /// every grant is used at least once (livelock freedom under message
-    /// coalescing; see ScInvalidate::RState::kFreshGrant).
-    kFreshGrant = 1u << 5,
-  };
-
-  struct HomeDir : dsm::RegionExt {
-    enum class Kind : std::uint8_t {
-      kNone,
-      kRemoteRead,
-      kRemoteWrite,
-      kLocalRead,
-      kLocalWrite,
-    };
-    std::vector<am::ProcId> sharers;
-    am::ProcId owner = dsm::kNoProc;
-    bool busy = false;
-    bool waiting_local_drain = false;
-    std::uint32_t pending_acks = 0;
-    Kind kind = Kind::kNone;
-    am::ProcId requester = dsm::kNoProc;
-    std::deque<std::pair<Kind, am::ProcId>> queue;
-  };
-
   DirectoryBlock(RuntimeProc& rp, std::uint32_t space_id)
       : rp_(rp), space_id_(space_id) {}
 
-  void start_read(Region& r);
-  void end_read(Region& r);
-  void start_write(Region& r);
-  void end_write(Region& r);
-  void flush();
-  void on_message(Region& r, std::uint32_t op, am::Message& m);
-
- private:
-  enum Op : std::uint32_t {
-    kReadReq,
-    kWriteReq,
-    kReadData,
-    kWriteData,
-    kUpgradeAck,
-    kInv,
-    kInvAck,
-    kRecallShared,
-    kRecallExcl,
-    kRecallData,
-    kFlushMsg,
-  };
-
-  static std::uint32_t rstate(const Region& r) { return r.pstate & kStateMask; }
-  static void set_rstate(Region& r, std::uint32_t s) {
-    r.pstate = (r.pstate & ~kStateMask) | s;
+  void start_read(Region& r) { engine_.start_read(r); }
+  void end_read(Region& r) { engine_.end_access(r); }
+  void start_write(Region& r) { engine_.start_write(r); }
+  void end_write(Region& r) { engine_.end_access(r); }
+  void flush() {
+    rp_.regions().for_each_in_space(space_id_,
+                                    [&](Region& r) { engine_.flush(r); });
+  }
+  void on_message(Region& r, std::uint32_t op, am::Message& m) {
+    engine_.on_message(r, op, m.src, m.args[3], m.payload);
   }
 
-  void home_request(Region& r, HomeDir::Kind kind);
-  void enqueue_or_serve(Region& r, HomeDir::Kind kind, am::ProcId requester);
-  void serve(Region& r, HomeDir::Kind kind, am::ProcId requester,
-             bool deferred = false);
-  void grant_write(Region& r, am::ProcId requester, bool deferred);
-  void complete_pending(Region& r);
-  void drain_queue(Region& r);
-  void maybe_finish_deferred_remote(Region& r);
-  void maybe_finish_local_drain(Region& r);
+ private:
+  friend class dsm::DirectoryEngine<DirectoryBlock>;
+
+  // --- the engine's host interface ---
+  am::ProcId me() const { return rp_.me(); }
+  am::Proc& proc() { return rp_.proc(); }
+  void send(am::ProcId dst, Region& r, std::uint32_t op, std::uint64_t a,
+            am::PayloadRef payload) {
+    rp_.send_proto(dst, r.id(), op, a, 0, std::move(payload));
+  }
+  void install(Region& r, const am::PayloadRef& payload) {
+    rp_.install_data(r, payload);
+  }
+  am::PayloadRef snapshot(Region& r) { return rp_.snapshot(r); }
+  DsmStats& stats() { return rp_.dstats(space_id_); }
 
   RuntimeProc& rp_;
   std::uint32_t space_id_;
+  dsm::DirectoryEngine<DirectoryBlock> engine_{*this};
 };
 
 /// Migrating-owner engine: ownership (and the data) moves to whichever

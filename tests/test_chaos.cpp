@@ -116,11 +116,12 @@ TEST(Chaos, PreservesPerSenderFifo) {
 TEST(Chaos, SameSeedSameLogAndClocks) {
   ChaosOptions opt;
   opt.seed = 42;
-  Machine m1(kProcs), m2(kProcs);
-  m1.set_chaos(opt);
-  m2.set_chaos(opt);
-  const Outcome a = run_gated_all_to_all(m1);
-  const Outcome b = run_gated_all_to_all(m2);
+  const auto m1 = Machine::create({.nprocs = kProcs});
+  const auto m2 = Machine::create({.nprocs = kProcs});
+  m1->set_chaos(opt);
+  m2->set_chaos(opt);
+  const Outcome a = run_gated_all_to_all(*m1);
+  const Outcome b = run_gated_all_to_all(*m2);
   EXPECT_EQ(a.order, b.order);
   EXPECT_EQ(a.vclock, b.vclock);
   // Compare the data-message schedule only: barrier arrivals from different
@@ -131,7 +132,7 @@ TEST(Chaos, SameSeedSameLogAndClocks) {
     std::vector<DeliveryLog> out(logs.size());
     for (std::size_t p = 0; p < logs.size(); ++p)
       for (const DeliveryRecord& r : logs[p])
-        if (!m1.is_barrier_handler(r.handler)) out[p].push_back(r);
+        if (!m1->is_barrier_handler(r.handler)) out[p].push_back(r);
     return out;
   };
   EXPECT_TRUE(same_logs(data_only(a.logs), data_only(b.logs)));
@@ -220,13 +221,13 @@ TEST(Chaos, PreservesFlushLemma) {
 TEST(Replay, ReproducesLogAndClocksBitForBit) {
   ChaosOptions opt;
   opt.seed = 1234;
-  Machine m1(kProcs);
-  m1.set_chaos(opt);
-  const Outcome chaos = run_gated_all_to_all(m1);
+  const auto m1 = Machine::create({.nprocs = kProcs});
+  m1->set_chaos(opt);
+  const Outcome chaos = run_gated_all_to_all(*m1);
 
-  Machine m2(kProcs);
-  m2.set_replay(chaos.logs);
-  const Outcome replay = run_gated_all_to_all(m2);
+  const auto m2 = Machine::create({.nprocs = kProcs});
+  m2->set_replay(chaos.logs);
+  const Outcome replay = run_gated_all_to_all(*m2);
 
   EXPECT_EQ(chaos.order, replay.order);
   EXPECT_EQ(chaos.vclock, replay.vclock);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 
+#include "ace/runtime.hpp"
 #include "common/rng.hpp"
 #include "crl/crl.hpp"
 
@@ -222,7 +223,7 @@ TEST(Crl, StatsCountProtocolEvents) {
     }
     cp.barrier();
   });
-  const CrlStats s = f.rt.aggregate_stats();
+  const DsmStats s = f.rt.aggregate_stats();
   EXPECT_EQ(s.read_misses, 1u);
   EXPECT_EQ(s.fetches, 1u);
   EXPECT_GE(s.maps, 2u);
@@ -234,6 +235,111 @@ TEST(Crl, CollectivesWork) {
     EXPECT_DOUBLE_EQ(cp.allreduce_sum(2.0), 8.0);
     EXPECT_EQ(cp.allreduce_min(10 + cp.me()), 10u);
   });
+}
+
+// One kernel for both runtimes.  Every access runs in its rank's turn and
+// turns are separated by barriers, so the protocol traffic does not depend
+// on the delivery schedule.  Per (round, turn, region) the access cycles
+// through read, write, read-then-write and write-then-read.  That covers
+// remote read and write misses, remote upgrades, home writes that
+// invalidate sharers or recall a remote owner, and readers recalling a
+// remote owner.  Returns rank 0's checksum over the final values.
+template <class P, class Alloc, class Barrier>
+std::uint64_t run_turns(P& p, Alloc alloc, Barrier barrier) {
+  constexpr std::uint32_t kRegions = 6;
+  constexpr std::uint32_t kRounds = 3;
+  std::vector<std::uint64_t*> ptr(kRegions);
+  for (std::uint32_t j = 0; j < kRegions; ++j) {
+    const ProcId home = j % p.nprocs();
+    rid_t id = p.me() == home ? alloc(8) : 0;
+    id = p.bcast_region(id, home);
+    ptr[j] = static_cast<std::uint64_t*>(p.map(id));
+  }
+  for (std::uint32_t round = 0; round < kRounds; ++round) {
+    for (ProcId turn = 0; turn < p.nprocs(); ++turn) {
+      if (p.me() == turn) {
+        for (std::uint32_t j = 0; j < kRegions; ++j) {
+          std::uint64_t* x = ptr[j];
+          switch ((round + turn + j) % 4) {
+            case 0:
+              p.start_read(x);
+              p.end_read(x);
+              break;
+            case 1:
+              p.start_write(x);
+              *x += turn + 1;
+              p.end_write(x);
+              break;
+            case 2: {
+              p.start_read(x);
+              const std::uint64_t v = *x;
+              p.end_read(x);
+              p.start_write(x);
+              *x = v * 3 + 1;
+              p.end_write(x);
+              break;
+            }
+            default:
+              p.start_write(x);
+              *x ^= std::uint64_t(round + 1) << 8;
+              p.end_write(x);
+              p.start_read(x);
+              p.end_read(x);
+              break;
+          }
+        }
+      }
+      barrier();
+    }
+  }
+  std::uint64_t sum = 0;
+  if (p.me() == 0) {
+    for (std::uint64_t* x : ptr) {
+      p.start_read(x);
+      sum = sum * 31 + *x;
+      p.end_read(x);
+    }
+  }
+  barrier();
+  return sum;
+}
+
+TEST(Crl, EngineCountersMatchAceSc) {
+  constexpr std::uint32_t kProcs = 4;
+  std::uint64_t crl_sum = 0;
+  Fixture c(kProcs);
+  c.rt.run([&](CrlProc& cp) {
+    const std::uint64_t s = run_turns(
+        cp, [&](std::uint32_t n) { return cp.create(n); },
+        [&] { cp.barrier(); });
+    if (cp.me() == 0) crl_sum = s;
+  });
+  const auto cs = c.rt.aggregate_stats();
+  const std::uint64_t crl_msgs = c.machine.aggregate_stats().msgs_sent;
+
+  std::uint64_t ace_sum = 0;
+  auto machine = Machine::create({.nprocs = kProcs});
+  ace::Runtime rt(*machine);
+  rt.run([&](ace::RuntimeProc& rp) {
+    const std::uint64_t s = run_turns(
+        rp, [&](std::uint32_t n) { return rp.gmalloc(ace::kDefaultSpace, n); },
+        [&] { rp.ace_barrier(ace::kDefaultSpace); });
+    if (rp.me() == 0) ace_sum = s;
+  });
+  const ace::DsmStats as = rt.aggregate_dstats();
+
+  EXPECT_NE(crl_sum, 0u);
+  EXPECT_EQ(crl_sum, ace_sum);
+  EXPECT_EQ(crl_msgs, machine->aggregate_stats().msgs_sent);
+  EXPECT_EQ(cs.read_misses, as.read_misses);
+  EXPECT_EQ(cs.write_misses, as.write_misses);
+  EXPECT_EQ(cs.invalidations, as.invalidations);
+  EXPECT_EQ(cs.recalls, as.recalls);
+  EXPECT_EQ(cs.fetches, as.fetches);
+  // The kernel reaches every transition it claims to cover.
+  EXPECT_GT(cs.write_misses, 0u);
+  EXPECT_GT(cs.invalidations, 0u);
+  EXPECT_GT(cs.recalls, 0u);
 }
 
 TEST(Crl, MapChargesSlowPath) {

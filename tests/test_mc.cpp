@@ -241,13 +241,13 @@ TEST(Mc, NullStaleReadReproducesOnRuntimeViaReplay) {
   std::vector<am::DeliveryLog> captured;
   std::vector<std::uint64_t> reads_cap;
   {
-    am::Machine machine(3);
+    const auto machine = am::Machine::create({.nprocs = 3});
     am::ChaosOptions copt;
     copt.p_hold = 0.0;
     copt.max_jitter_ns = 0;
-    machine.set_chaos(copt);
-    reads_cap = run_wvb(machine, proto_names::kNull);
-    captured = machine.delivery_logs();
+    machine->set_chaos(copt);
+    reads_cap = run_wvb(*machine, proto_names::kNull);
+    captured = machine->delivery_logs();
   }
   ASSERT_EQ(reads_cap.size(), 2u);
   // The stale read: epoch-1's write never reaches proc 1's local copy.
@@ -259,10 +259,10 @@ TEST(Mc, NullStaleReadReproducesOnRuntimeViaReplay) {
 
   // Replay: the recorded schedule drives delivery; the outcome must be
   // identical.
-  am::Machine machine(3);
-  machine.set_replay(captured);
+  const auto machine = am::Machine::create({.nprocs = 3});
+  machine->set_replay(captured);
   const std::vector<std::uint64_t> reads_rep =
-      run_wvb(machine, proto_names::kNull);
+      run_wvb(*machine, proto_names::kNull);
   EXPECT_EQ(reads_rep, reads_cap);
 }
 
@@ -275,11 +275,11 @@ TEST(Mc, CoherentRuntimeOutcomesFallInModelOutcomeSet) {
   const LitmusResult model = check_litmus(s, wvb_litmus(s, true));
   ASSERT_TRUE(model.passed);
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    am::Machine machine(3);
+    const auto machine = am::Machine::create({.nprocs = 3});
     am::ChaosOptions copt;
     copt.seed = seed;
-    machine.set_chaos(copt);
-    const auto reads = run_wvb(machine, proto_names::kDynamicUpdate);
+    machine->set_chaos(copt);
+    const auto reads = run_wvb(*machine, proto_names::kDynamicUpdate);
     ASSERT_EQ(reads.size(), 2u);
     const std::string out = outcome_string(reads);
     EXPECT_NE(std::find(model.outcomes.begin(), model.outcomes.end(), out),

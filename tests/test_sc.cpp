@@ -12,7 +12,6 @@
 
 #include "ace/runtime.hpp"
 #include "common/rng.hpp"
-#include "protocols/sc_invalidate.hpp"
 
 namespace {
 

@@ -517,8 +517,8 @@ void auto_advisor(Machine& machine, std::uint32_t procs) {
 
   // Clean reference run: the chaos schedule must not change what the
   // advisor decides, only when messages land.
-  Machine ref(procs);
-  ace::Runtime ref_rt(ref);
+  const auto ref = Machine::create({.nprocs = procs});
+  ace::Runtime ref_rt(*ref);
   ref_rt.run(workload);
   ACE_CHECK_MSG(switches_of(decisions_of(ref_rt, 0)) == switches_of(d0),
                 "auto_advisor: switch sequence depends on delivery schedule");
