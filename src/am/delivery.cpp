@@ -123,11 +123,12 @@ void ReplayPolicy::select(std::deque<Message> arrivals,
       return m.src == want.src && m.seq == want.seq;
     });
     if (it == parked_.end()) {
-      // Not arrived yet.  If this sender's oldest parked message is already
-      // *past* the wanted seq, the wanted message can never arrive: the run
-      // has diverged from the script.
+      // Not arrived yet.  If this sender's oldest parked message of the same
+      // origin is already *past* the wanted seq, the wanted message can
+      // never arrive: the run has diverged from the script.
       for (const Message& m : parked_)
-        if (m.src == want.src) {
+        if (m.src == want.src &&
+            (m.seq & kHandlerSeqBit) == (want.seq & kHandlerSeqBit)) {
           ACE_CHECK_MSG(m.seq <= want.seq,
                         "delivery replay diverged: the scripted message was "
                         "never sent in this run");

@@ -52,10 +52,12 @@ void Proc::send(ProcId dst, HandlerId handler, std::array<std::uint64_t, 6> args
   m.args = args;
   m.payload = std::move(payload);
   m.send_vtime_ns = vclock_ns();
-  // (src, seq) names the message uniquely at dst; dense per destination so
-  // a replayed run assigns identical numbers regardless of how its sends to
-  // *other* destinations interleave.
-  m.seq = ++send_seq_[dst];
+  // (src, seq) names the message uniquely at dst; dense per destination and
+  // origin so a replayed run assigns identical numbers regardless of how its
+  // sends to *other* destinations, or its program's sends and its handlers'
+  // replies, interleave.
+  m.seq = dispatch_depth_ == 0 ? ++send_seq_[dst]
+                               : ++handler_seq_[dst] | kHandlerSeqBit;
   if (machine_->transport_ != nullptr && dst != id_) {
     machine_->transport_->send(dst, m);
     // Barrier/control frames carry the synchronization protocols (fences,
@@ -142,7 +144,9 @@ void Proc::dispatch(Message& m, std::uint64_t jitter_ns) {
   // dispatch as zero bytes.
   const auto payload_bytes = static_cast<std::uint64_t>(m.payload.size());
   ACE_DCHECK(m.handler < machine_->handlers_.size());
+  dispatch_depth_ += 1;
   machine_->handlers_[m.handler](*this, m);
+  dispatch_depth_ -= 1;
   trace(obs::EventKind::kAmDispatch, t0, obs::kNoSpace, m.src, payload_bytes);
 }
 
@@ -369,6 +373,7 @@ Machine::Machine(const MachineOptions& opts, std::unique_ptr<Transport> transpor
     proc->time_mode_ = time_mode_;
     proc->wall_epoch_ = epoch;
     proc->send_seq_.resize(opts.nprocs, 0);
+    proc->handler_seq_.resize(opts.nprocs, 0);
     proc->outbox_.resize(opts.nprocs);
     proc->batch_limit_ = std::max<std::uint32_t>(1, opts.batch_max_msgs);
     procs_.push_back(std::move(proc));

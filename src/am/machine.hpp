@@ -195,8 +195,10 @@ class Proc {
 
   // Delivery-policy seam (null = the default strict-FIFO drain).
   std::unique_ptr<DeliveryPolicy> delivery_;
-  std::vector<std::uint64_t> send_seq_;  ///< per-destination sequence counters
-  std::uint64_t arrival_seq_ = 0;        ///< under mail_mu_
+  std::vector<std::uint64_t> send_seq_;     ///< per-destination, program sends
+  std::vector<std::uint64_t> handler_seq_;  ///< per-destination, handler sends
+  std::uint32_t dispatch_depth_ = 0;        ///< >0 while a handler runs
+  std::uint64_t arrival_seq_ = 0;           ///< under mail_mu_
 
   // --- sender-side batching (owner thread only) ---------------------------
   // send() appends to outbox_[dst]; segments are handed over wholesale at

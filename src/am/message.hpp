@@ -30,14 +30,21 @@ struct Message {
   /// Virtual time at which the message left the sender (ns); used by the
   /// cost model to order delivery against the receiver's clock.
   std::uint64_t send_vtime_ns = 0;
-  /// Sender-assigned sequence number, monotone per (src, dst) pair starting
-  /// at 1.  (src, seq) names a message uniquely at its destination; delivery
-  /// policies key their decisions and logs on it.
+  /// Sender-assigned sequence number.  (src, seq) names a message uniquely at
+  /// its destination; delivery policies key their decisions and logs on it.
+  /// Numbers are dense per (src, dst, origin) starting at 1, where the origin
+  /// is the sender's program or the handlers it runs (those numbers carry
+  /// kHandlerSeqBit): each origin's sends to one destination are ordered by
+  /// program order or by dispatch order, both of which a replay reproduces,
+  /// but how the two interleave depends on when the host thread polls.
   std::uint64_t seq = 0;
   /// Receiver-assigned arrival index (stamped under the mailbox lock), the
   /// total order delivery policies perturb and the deadlock report shows.
   std::uint64_t arrival = 0;
 };
+
+/// Set in Message::seq on sends made while a handler runs (see Message::seq).
+inline constexpr std::uint64_t kHandlerSeqBit = std::uint64_t{1} << 63;
 
 /// One delivered message as recorded by a logging DeliveryPolicy (see
 /// am/delivery.hpp).  (src, seq) identifies the message; handler is kept as

@@ -136,7 +136,7 @@ class SocketTransport final : public Transport {
         rx_(nprocs),
         tx_(nprocs),
         ctrl_(nprocs),
-        expect_seq_(nprocs, 0),
+        expect_seq_(nprocs, {0, 0}),
         bye_(nprocs, false) {}
 
   ~SocketTransport() override { finalize(0); }
@@ -392,11 +392,13 @@ class SocketTransport final : public Transport {
       const std::byte* body = rx.front() + sizeof f;
       if (f.kind == kAm) {
         Message m = decode_message(body, f.body_len);
-        // The wire carries the sender's dense per-(src, dst) sequence
-        // number; a gap or reorder here is a transport bug, not a protocol
-        // bug, so it is checked at this layer.
-        expect_seq_[p] += 1;
-        ACE_CHECK_MSG(m.seq == expect_seq_[p],
+        // The wire carries the sender's dense per-(src, dst, origin)
+        // sequence number; a gap or reorder here is a transport bug, not a
+        // protocol bug, so it is checked at this layer.
+        const std::uint64_t origin = m.seq & kHandlerSeqBit;
+        std::uint64_t& expect = expect_seq_[p][origin != 0 ? 1 : 0];
+        expect += 1;
+        ACE_CHECK_MSG(m.seq == (expect | origin),
                       "per-sender FIFO violated on the socket transport");
         sink(std::move(m));
         delivered += 1;
@@ -573,7 +575,8 @@ class SocketTransport final : public Transport {
   std::vector<RxBuf> rx_;
   std::vector<TxBuf> tx_;
   std::vector<std::deque<std::vector<std::byte>>> ctrl_;
-  std::vector<std::uint64_t> expect_seq_;  ///< last AM seq seen per sender
+  /// Last AM seq seen per sender: program sends, handler sends.
+  std::vector<std::array<std::uint64_t, 2>> expect_seq_;
   std::deque<Message> spill_;  ///< messages drained during a blocked write
   std::vector<bool> bye_;      ///< rank 0: which children announced teardown
   std::function<bool(HandlerId)> is_fence_;  ///< barrier-handler classifier

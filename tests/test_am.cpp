@@ -316,4 +316,39 @@ TEST(Machine, HandlerMaySendMessages) {
   });
 }
 
+TEST(Machine, ProgramAndHandlerSendsNumberSeparately) {
+  // Proc 1's program sends to proc 0 before and after it dispatches a ping
+  // whose handler replies to proc 0 too.  The program's two sends take seq 1
+  // and 2 and the reply takes its own first number, so a replayed run names
+  // every message the same however the host thread's polls fall.
+  auto m_ptr = Machine::create({.nprocs = 2});
+  Machine& m = *m_ptr;
+  constexpr std::uint64_t kFromProgram = 0, kFromHandler = 1;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> got;  // (origin, seq)
+  bool pinged = false;
+  const auto rec = m.register_handler(
+      [&](Proc&, Message& msg) { got.emplace_back(msg.args[0], msg.seq); });
+  const auto ping = m.register_handler([&](Proc& self, Message&) {
+    pinged = true;
+    self.send(0, rec, {kFromHandler});
+  });
+  m.run([&](Proc& p) {
+    if (p.id() == 0) {
+      p.send(1, ping, {});
+      p.wait_until([&] { return got.size() == 3; });
+    } else {
+      p.send(0, rec, {kFromProgram});
+      p.wait_until([&] { return pinged; });
+      p.send(0, rec, {kFromProgram});
+    }
+    p.barrier();
+  });
+  ASSERT_EQ(got.size(), 3u);
+  std::vector<std::uint64_t> program, handler;
+  for (const auto& [origin, seq] : got)
+    (origin == kFromProgram ? program : handler).push_back(seq);
+  EXPECT_EQ(program, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(handler, (std::vector<std::uint64_t>{1 | ace::am::kHandlerSeqBit}));
+}
+
 }  // namespace

@@ -39,10 +39,17 @@ void run_crl(std::uint32_t procs, Fn&& fn) {
 
 // --- EM3D --------------------------------------------------------------------
 
+// Every case struct below has a PrintTo: gtest otherwise prints a
+// parameter's raw bytes into the test's listed name, and padding bytes or a
+// string literal's address differ from process to process.
 struct Em3dCase {
   const char* protocol;
   std::uint32_t procs;
 };
+
+void PrintTo(const Em3dCase& c, std::ostream* os) {
+  *os << "{protocol=" << c.protocol << ", procs=" << c.procs << "}";
+}
 
 class Em3dSuite : public ::testing::TestWithParam<Em3dCase> {};
 
@@ -158,6 +165,10 @@ struct TspCase {
   std::uint32_t procs;
 };
 
+void PrintTo(const TspCase& c, std::ostream* os) {
+  *os << "{custom=" << c.custom << ", procs=" << c.procs << "}";
+}
+
 class TspSuite : public ::testing::TestWithParam<TspCase> {};
 
 TEST_P(TspSuite, FindsOptimumOnAce) {
@@ -207,6 +218,11 @@ struct WaterCase {
   bool null_intra;
   std::uint32_t procs;
 };
+
+void PrintTo(const WaterCase& c, std::ostream* os) {
+  *os << "{custom=" << c.custom << ", null_intra=" << c.null_intra
+      << ", procs=" << c.procs << "}";
+}
 
 class WaterSuite : public ::testing::TestWithParam<WaterCase> {};
 
@@ -264,6 +280,10 @@ struct BhCase {
   bool custom;
   std::uint32_t procs;
 };
+
+void PrintTo(const BhCase& c, std::ostream* os) {
+  *os << "{custom=" << c.custom << ", procs=" << c.procs << "}";
+}
 
 class BhSuite : public ::testing::TestWithParam<BhCase> {};
 
@@ -366,6 +386,10 @@ struct BscCase {
   bool custom;
   std::uint32_t procs;
 };
+
+void PrintTo(const BscCase& c, std::ostream* os) {
+  *os << "{custom=" << c.custom << ", procs=" << c.procs << "}";
+}
 
 class BscSuite : public ::testing::TestWithParam<BscCase> {};
 

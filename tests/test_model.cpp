@@ -23,6 +23,15 @@ struct ModelParams {
   std::uint64_t seed;
 };
 
+// Without it gtest prints the raw bytes, padding and the protocol string's
+// address included, into the test's listed name, which then differs from
+// process to process.
+void PrintTo(const ModelParams& p, std::ostream* os) {
+  *os << "{protocol=" << p.protocol << ", procs=" << p.procs
+      << ", regions=" << p.regions << ", epochs=" << p.epochs
+      << ", seed=" << p.seed << "}";
+}
+
 class EpochModel : public ::testing::TestWithParam<ModelParams> {};
 
 // Per epoch, the model picks one writer per region (deterministically from

@@ -230,10 +230,12 @@ TEST(Sc, LargeRegionBulkTransfer) {
 // Property tests
 // ---------------------------------------------------------------------------
 
+// No padding: gtest prints a parameter's raw bytes into the test's listed
+// name, so padding would put stray bytes there that differ per process.
 struct PropParams {
   std::uint32_t procs;
   std::uint32_t regions;
-  std::uint32_t ops;
+  std::uint64_t ops;
   std::uint64_t seed;
 };
 

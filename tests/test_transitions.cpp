@@ -36,14 +36,25 @@ bool remote_writes_allowed(const std::string& proto) {
          proto == proto_names::kMigratory || proto == proto_names::kRaceCheck;
 }
 
+// Protocol names are held inline rather than as std::string: gtest prints
+// a parameter's raw bytes into the test's listed name, and a std::string's
+// bytes hold a heap address that differs from process to process.
 struct Pair {
-  std::string from, to;
+  char from[32];
+  char to[32];
 };
+
+Pair make_pair_of(const std::string& from, const std::string& to) {
+  Pair p{};
+  from.copy(p.from, sizeof p.from - 1);
+  to.copy(p.to, sizeof p.to - 1);
+  return p;
+}
 
 class TransitionMatrix : public ::testing::TestWithParam<Pair> {};
 
 TEST_P(TransitionMatrix, DataSurvivesAndStaysCoherent) {
-  const auto [from, to] = GetParam();
+  const std::string from = GetParam().from, to = GetParam().to;
   constexpr std::uint32_t kProcs = 4;
   auto machine_ptr = am::Machine::create({.nprocs = kProcs});
   am::Machine& machine = *machine_ptr;
@@ -109,14 +120,15 @@ TEST_P(TransitionMatrix, DataSurvivesAndStaysCoherent) {
 std::vector<Pair> all_pairs() {
   std::vector<Pair> pairs;
   for (const auto& a : transition_protocols())
-    for (const auto& b : transition_protocols()) pairs.push_back({a, b});
+    for (const auto& b : transition_protocols()) pairs.push_back(make_pair_of(a, b));
   return pairs;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPairs, TransitionMatrix,
                          ::testing::ValuesIn(all_pairs()),
                          [](const auto& info) {
-                           return info.param.from + "_to_" + info.param.to;
+                           return std::string(info.param.from) + "_to_" +
+                                  info.param.to;
                          });
 
 // Remote writers across a transition (only protocols whose contract allows
@@ -124,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(AllPairs, TransitionMatrix,
 class RemoteWriteTransition : public ::testing::TestWithParam<Pair> {};
 
 TEST_P(RemoteWriteTransition, RemoteWriteThenSwitchThenRead) {
-  const auto [from, to] = GetParam();
+  const std::string from = GetParam().from, to = GetParam().to;
   constexpr std::uint32_t kProcs = 3;
   auto machine_ptr = am::Machine::create({.nprocs = kProcs});
   am::Machine& machine = *machine_ptr;
@@ -159,7 +171,7 @@ std::vector<Pair> remote_write_pairs() {
   for (const auto& a : transition_protocols()) {
     if (!remote_writes_allowed(a)) continue;
     for (const auto& b : transition_protocols())
-      if (remote_reads_allowed(b)) pairs.push_back({a, b});
+      if (remote_reads_allowed(b)) pairs.push_back(make_pair_of(a, b));
   }
   return pairs;
 }
@@ -167,7 +179,8 @@ std::vector<Pair> remote_write_pairs() {
 INSTANTIATE_TEST_SUITE_P(RemoteWriters, RemoteWriteTransition,
                          ::testing::ValuesIn(remote_write_pairs()),
                          [](const auto& info) {
-                           return info.param.from + "_to_" + info.param.to;
+                           return std::string(info.param.from) + "_to_" +
+                                  info.param.to;
                          });
 
 // Chained transitions: walk the whole library on one space, checking the
