@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   cli.finish();
 
   std::printf(
-      "Adaptive advisor ablation: fixed protocol assignments vs Ace_AutoSpace\n"
+      "Adaptive advisor ablation: fixed protocol assignments vs adapt::auto_space\n"
       "(%u procs; producer/consumer %u rounds x %u regions; EM3D %u steps)\n\n",
       procs, rounds, regions, em3d_steps);
 

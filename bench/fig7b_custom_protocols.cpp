@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   const auto chaos_seed =
       static_cast<std::uint64_t>(cli.get_int("chaos-seed", 0));
   // --auto adds adaptive-advisor rows: EM3D and Water run with advisors
-  // switching protocols (Ace_AutoSpace semantics), TSP in record-only
+  // switching protocols (adapt::auto_space semantics), TSP in record-only
   // advise mode (its bound space is latency-critical; see apps/tsp.hpp).
   const bool auto_mode = cli.get_bool("auto", false);
   cli.finish();

@@ -53,7 +53,7 @@ struct RunResult {
   /// collective and barrier traffic stays machine-level in `msgs`/`mbytes`.
   std::vector<ace::obs::SpaceMetrics> spaces;
   /// Adaptive-advisor decision logs, when the run attached advisors
-  /// (Ace_AutoSpace / auto modes); empty otherwise.  Serialized into the
+  /// (adapt::auto_space / auto modes); empty otherwise.  Serialized into the
   /// BENCH json's "advisor" section.
   std::vector<ace::adapt::SpaceDecisions> decisions;
 };

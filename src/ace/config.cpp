@@ -365,12 +365,14 @@ std::string render_config(const std::vector<ProtocolInfo>& infos) {
 }
 
 std::string default_config_text() {
-  // What each built-in protocol's registration script emits; must agree
-  // with the protocols' static_info() (cross-checked in tests and at
-  // Registry::with_builtins time).  Composed protocols are declared as
-  // `stack` forms: the fetch/write/order blocks are the source of truth,
-  // and the spelled-out hook bits and cost descriptor are *declarations*
-  // verified against the derivation (registry cross-check + acelint AL05).
+  // What each built-in protocol's registration script emits; the root
+  // protocols.cfg is a byte-identical copy (Config.ShippedCfgFileMatches-
+  // DefaultText).  Composed protocols are declared as `stack` forms: the
+  // fetch/write/order blocks are the source of truth, and the spelled-out
+  // hook bits and cost descriptor are *declarations* verified against the
+  // derivation (Registry::with_builtins + acelint AL05).  Bespoke
+  // `protocol` entries must agree with their class's static_info(), checked
+  // at Registry::with_builtins time.
   return R"(# Ace system configuration file — shipped protocol library.
 # Generated by the protocol registration scripts (paper Figure 1).
 # write_policy/barrier_rounds/remote_writes/coherent/advisable are the

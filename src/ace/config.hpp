@@ -16,9 +16,9 @@
 //   }
 //
 // `parse_config` turns it into ProtocolInfo records; `default_config_text`
-// is the configuration for the shipped protocol library (kept consistent
-// with each protocol's static_info() — tests cross-check).  src/acec
-// consumes the parsed result.
+// is the configuration for the shipped protocol library (checked against
+// the block derivations and the bespoke protocols' static_info() by
+// Registry::with_builtins).  src/acec consumes the parsed result.
 #pragma once
 
 #include <string>

@@ -4,14 +4,8 @@
 #include "ace/stack.hpp"
 #include "protocols/composed.hpp"
 #include "protocols/counter.hpp"
-#include "protocols/dynamic_update.hpp"
-#include "protocols/home_write.hpp"
-#include "protocols/migratory.hpp"
-#include "protocols/null_protocol.hpp"
 #include "protocols/pipelined_write.hpp"
 #include "protocols/race_check.hpp"
-#include "protocols/sc_invalidate.hpp"
-#include "protocols/static_update.hpp"
 
 namespace ace {
 
@@ -66,13 +60,6 @@ std::unique_ptr<Protocol> Registry::create(const std::string& name,
 }
 
 namespace {
-
-template <class P>
-void add_builtin(Registry& reg) {
-  reg.add(P::static_info(), [](RuntimeProc& rp, std::uint32_t space_id) {
-    return std::make_unique<P>(rp, space_id);
-  });
-}
 
 /// The genuinely semantic protocols stay bespoke (their hooks change the
 /// *meaning* of accesses, not just their cost) but register through the same
@@ -147,8 +134,8 @@ Registry Registry::with_builtins() {
     reg.add(builtin, found->factory);
   }
 
-  // The re-expressed monoliths must still be present under their canonical
-  // names — a cfg edit cannot silently drop a shipped protocol.
+  // Every shipped protocol must be present under its canonical name — a cfg
+  // edit cannot silently drop one.
   for (const char* name :
        {proto_names::kSC, proto_names::kNull, proto_names::kDynamicUpdate,
         proto_names::kStaticUpdate, proto_names::kMigratory,
@@ -159,41 +146,6 @@ Registry Registry::with_builtins() {
     ACE_CHECK_MSG(reg.contains(name),
                   (std::string("shipped protocol missing from cfg: ") + name)
                       .c_str());
-
-  // And their synthesized registration facts must match what the retired
-  // monolithic implementations declared (the refactor's no-drift guarantee).
-  const std::pair<const char*, const ProtocolInfo&> monoliths[] = {
-      {proto_names::kSC, protocols::ScInvalidate::static_info()},
-      {proto_names::kNull, protocols::NullProtocol::static_info()},
-      {proto_names::kDynamicUpdate, protocols::DynamicUpdate::static_info()},
-      {proto_names::kStaticUpdate, protocols::StaticUpdate::static_info()},
-      {proto_names::kMigratory, protocols::Migratory::static_info()},
-      {proto_names::kHomeWrite, protocols::HomeWrite::static_info()},
-  };
-  for (const auto& [name, mono] : monoliths) {
-    const ProtocolInfo& synth = reg.info(name);
-    ACE_CHECK_MSG(synth.hooks == mono.hooks &&
-                      synth.optimizable == mono.optimizable &&
-                      synth.merge_rw == mono.merge_rw &&
-                      synth.costs == mono.costs,
-                  (std::string("composed '") + name +
-                   "' drifted from the monolith's static_info")
-                      .c_str());
-  }
-  return reg;
-}
-
-Registry Registry::with_monoliths() {
-  Registry reg;
-  add_builtin<protocols::ScInvalidate>(reg);
-  add_builtin<protocols::NullProtocol>(reg);
-  add_builtin<protocols::DynamicUpdate>(reg);
-  add_builtin<protocols::StaticUpdate>(reg);
-  add_builtin<protocols::Migratory>(reg);
-  add_builtin<protocols::HomeWrite>(reg);
-  add_builtin<protocols::PipelinedWrite>(reg);
-  add_builtin<protocols::CounterProtocol>(reg);
-  add_builtin<protocols::RaceCheck>(reg);
   return reg;
 }
 

@@ -50,17 +50,14 @@ class Registry {
   /// A registry pre-loaded with the protocol library shipped with Ace,
   /// driven by the system configuration file (default_config_text): `stack`
   /// entries — SC, Null, DynamicUpdate, StaticUpdate, Migratory, HomeWrite,
-  /// StaticInvalidate, WriteThrough — synthesize ComposedProtocol factories
-  /// from their blocks; `protocol` entries — PipelinedWrite, Counter,
-  /// RaceCheck — bind the bespoke implementations.  Every declared fact is
-  /// cross-checked against the block derivation and, for the re-expressed
-  /// monoliths, against the original static_info.
+  /// StaticInvalidate, WriteThrough, SelfInvalidate,
+  /// SelfInvalidateDowngrade — synthesize ComposedProtocol factories from
+  /// their blocks; `protocol` entries — PipelinedWrite, Counter, RaceCheck —
+  /// bind the bespoke implementations.  Every declared fact is cross-checked
+  /// against the block derivation (stacks) or the implementation's
+  /// static_info (bespoke).  tests/data/PROTOCOL_golden.json pins the
+  /// registration facts and run-time counters of the first six stacks.
   static Registry with_builtins();
-
-  /// The retired monolithic implementations of the six re-expressed
-  /// protocols (plus the three bespoke ones) — kept registerable so the
-  /// monolith-vs-stack equivalence suite can run both side by side.
-  static Registry with_monoliths();
 
  private:
   struct Entry {
@@ -81,8 +78,7 @@ inline constexpr const char* kHomeWrite = "HomeWrite";
 inline constexpr const char* kPipelinedWrite = "PipelinedWrite";
 inline constexpr const char* kCounter = "Counter";
 inline constexpr const char* kRaceCheck = "RaceCheck";
-// Block-composed additions beyond the original nine (stack-only; no
-// monolithic counterpart ever existed).
+// Block-composed additions beyond the paper's nine protocols.
 inline constexpr const char* kStaticInvalidate = "StaticInvalidate";
 inline constexpr const char* kWriteThrough = "WriteThrough";
 inline constexpr const char* kSelfInvalidate = "SelfInvalidate";

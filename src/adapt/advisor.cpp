@@ -107,9 +107,9 @@ void Advisor::decide() {
   // Candidate set: explicit list, or every advisable registered protocol.
   // With the block-composed library this enumerates the legal stack space:
   // every legal fetch/write/order combination registers as a stack (including
-  // the ones no monolith ever shipped, e.g. StaticInvalidate, WriteThrough),
-  // and each advisable one enters here on equal footing with the bespoke
-  // protocols.  Explicitly named protocols bypass the advisable/coherent
+  // ones beyond the paper's nine protocols, e.g. StaticInvalidate,
+  // WriteThrough), and each advisable one enters here on equal footing with
+  // the bespoke protocols.  Explicitly named protocols bypass the advisable/coherent
   // gate (that is how Null is opted in), never the remote-write safety gate.
   std::vector<std::string> names = opts_.candidates;
   if (names.empty())
@@ -361,17 +361,6 @@ namespace ace {
 
 SpaceId Ace_NewSpace(const SpaceOptions& opts) {
   return adapt::new_space(Runtime::cur(), opts);
-}
-
-SpaceId Ace_AutoSpace(const std::string& initial_protocol,
-                      adapt::AdvisorOptions opts) {
-  return Ace_NewSpace({.protocol = initial_protocol,
-                       .advisor = SpaceOptions::Advisor::kAuto,
-                       .advisor_options = std::move(opts)});
-}
-
-void Ace_Advise(SpaceId space, adapt::AdvisorOptions opts) {
-  adapt::advise(Runtime::cur(), space, std::move(opts));
 }
 
 }  // namespace ace

@@ -42,7 +42,7 @@ struct AdvisorOptions {
   /// while remote writes are observed.
   std::vector<std::string> candidates;
   /// true: execute Ace_ChangeProtocol when a switch wins.  false: record
-  /// the recommendation only (Ace_Advise mode).
+  /// the recommendation only (adapt::advise mode).
   bool execute = true;
   /// First decision after this many barrier epochs; the window doubles on
   /// every "hold" decision up to max_window (each decision costs two
@@ -174,18 +174,18 @@ std::string write_report(const std::string& tag,
 
 namespace ace {
 
-/// The consolidated space-creation surface.  Ace_NewSpace(protocol),
-/// Ace_AutoSpace, and advisor attachment used to be three ad-hoc entry
-/// points; they are now one options struct consumed by a single
-/// Ace_NewSpace overload, with the Table-2-style names kept as one-line
-/// forwards.  Collective: call on every processor with the same options.
+/// The consolidated space-creation surface: one options struct consumed by
+/// a single Ace_NewSpace overload covers plain, advised and auto spaces
+/// (`Ace_NewSpace({.advisor = SpaceOptions::Advisor::kAuto})`).  To attach
+/// a record-only advisor to an existing space, call adapt::advise.
+/// Collective: call on every processor with the same options.
 struct SpaceOptions {
   /// Initial protocol (registry name, see ace/registry.hpp).
   std::string protocol = proto_names::kSC;
   enum class Advisor : std::uint8_t {
     kOff,     ///< plain space, no advisor
-    kAdvise,  ///< record-only advisor attached (Ace_Advise semantics)
-    kAuto,    ///< executing advisor attached (Ace_AutoSpace semantics)
+    kAdvise,  ///< record-only advisor attached (adapt::advise semantics)
+    kAuto,    ///< executing advisor attached (adapt::auto_space semantics)
   };
   Advisor advisor = Advisor::kOff;
   /// Sampling/policy knobs; only consulted when advisor != kOff.
@@ -194,13 +194,6 @@ struct SpaceOptions {
 
 /// Create a space per `opts` (the one true entry point).
 SpaceId Ace_NewSpace(const SpaceOptions& opts);
-
-/// C-style API (Table 2 extension): Ace_NewSpace with an advisor attached.
-/// One-line forward to Ace_NewSpace(SpaceOptions).
-SpaceId Ace_AutoSpace(const std::string& initial_protocol,
-                      adapt::AdvisorOptions opts = {});
-/// Attach a record-only advisor to an existing space.
-void Ace_Advise(SpaceId space, adapt::AdvisorOptions opts = {});
 
 }  // namespace ace
 

@@ -1,9 +1,10 @@
-// Stateful fetch-stage engines for composed protocols.  Each engine mirrors
-// the corresponding monolithic protocol (dynamic_update/static_update/
-// home_write for ValidBitBlock, sc_invalidate for DirectoryBlock, migratory
-// for OwnerBlock) action for action — the monolith-vs-stack equivalence
-// suite in tests/test_protocols.cpp holds them to bit-identical DsmStats.
-// DirectoryBlock's state machine is dsm::DirectoryEngine (dsm/directory.hpp).
+// Stateful fetch-stage engines for composed protocols: ValidBitBlock
+// (DynamicUpdate, StaticUpdate, HomeWrite, ...), DirectoryBlock (SC) and
+// OwnerBlock (Migratory).  ProtocolGolden.* (tests/test_protocols.cpp) pins
+// their checksums, every DsmStats counter and the message count to
+// tests/data/PROTOCOL_golden.json, recorded from the monolithic protocols
+// these engines replaced.  DirectoryBlock's state machine is
+// dsm::DirectoryEngine (dsm/directory.hpp).
 #include "protocols/blocks.hpp"
 
 namespace ace::protocols::blocks {

@@ -1,6 +1,6 @@
 // Tests for the adaptive protocol advisor (src/adapt): signature
 // accumulation, the cost model's ranking and calibration, hysteresis, and
-// the end-to-end Ace_AutoSpace loop.
+// the end-to-end auto-space loop (adapt::auto_space).
 
 #include <gtest/gtest.h>
 
@@ -356,8 +356,8 @@ TEST(AdaptAdvisor, AdviseModeNeverSwitches) {
 
 TEST(AdaptAdvisor, EnumeratesComposedStackCandidates) {
   // The default candidate set is every advisable registered protocol, which
-  // with the block-composed library includes the two stacks no monolith
-  // ever shipped.  Candidates in the same (write_policy, barrier_rounds)
+  // with the block-composed library includes two stacks beyond the paper's
+  // nine protocols.  Candidates in the same (write_policy, barrier_rounds)
   // descriptor class must price identically (the class is priced once).
   Fixture f(4);
   f.rt.run([&](RuntimeProc& rp) {
@@ -377,8 +377,8 @@ TEST(AdaptAdvisor, EnumeratesComposedStackCandidates) {
       if (c.protocol == name) return &c;
     return nullptr;
   };
-  // The composed-only stacks are enumerated alongside the re-expressed
-  // monoliths.
+  // The stacks beyond the paper's nine are enumerated alongside the paper's
+  // protocols.
   const auto* si = cost_of(proto_names::kStaticInvalidate);
   const auto* wt = cost_of(proto_names::kWriteThrough);
   ASSERT_NE(si, nullptr);
@@ -579,7 +579,7 @@ TEST(SpaceOptions, OneOverloadCoversAllThreeAdvisorModes) {
     // kAdvise: record-only advisor.
     const SpaceId advised =
         adapt::new_space(rp, {.advisor = ace::SpaceOptions::Advisor::kAdvise});
-    // kAuto: executing advisor (Ace_AutoSpace semantics).
+    // kAuto: executing advisor (adapt::auto_space semantics).
     AdvisorOptions aopts;
     aopts.min_window = 2;
     const SpaceId autos =

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include "ace/config.hpp"
 #include "ace/registry.hpp"
@@ -179,13 +182,25 @@ TEST(Config, DefaultConfigMatchesRegistryCosts) {
 TEST(Config, DefaultConfigParses) {
   ConfigError err;
   const auto infos = parse_config(default_config_text(), &err);
-  // 10 block stacks (the six re-expressed monoliths + StaticInvalidate +
-  // WriteThrough + SelfInvalidate + SelfInvalidateDowngrade) and 3 bespoke
-  // protocols.
+  // 10 block stacks (SC, Null, DynamicUpdate, StaticUpdate, Migratory,
+  // HomeWrite, StaticInvalidate, WriteThrough, SelfInvalidate,
+  // SelfInvalidateDowngrade) and 3 bespoke protocols.
   EXPECT_EQ(infos.size(), 13u) << err.message;
   std::size_t composed = 0;
   for (const auto& info : infos) composed += info.composed ? 1 : 0;
   EXPECT_EQ(composed, 10u);
+}
+
+TEST(Config, ShippedCfgFileMatchesDefaultText) {
+  // The root protocols.cfg is the human-readable copy of the built-in
+  // configuration; its declared facts document the protocols, so it must
+  // not drift from default_config_text() by a single byte.
+  const std::string path = std::string(ACE_SOURCE_DIR) + "/protocols.cfg";
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  EXPECT_EQ(ss.str(), default_config_text()) << path;
 }
 
 TEST(Config, DefaultConfigMatchesRegistry) {

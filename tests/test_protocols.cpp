@@ -5,8 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <sstream>
+#include <utility>
 
+#include "ace/config.hpp"
 #include "ace/runtime.hpp"
 #include "ace/typed.hpp"
 #include "am/delivery.hpp"
@@ -537,35 +544,40 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.rounds);
     });
 
-// --- Monolith vs stack equivalence -------------------------------------------
+// --- Protocol golden ---------------------------------------------------------
 //
-// The six re-expressed protocols run the same deterministic multi-region
-// producer/consumer kernel twice: once with the block-composed registration
-// (Registry::with_builtins, ComposedProtocol engines) and once with the
-// retired monolithic classes (Registry::with_monoliths).  The refactor's
-// contract is bit-fidelity: identical checksums AND identical DsmStats —
-// every miss, push, invalidation, and fetch must land in the same counter.
+// tests/data/PROTOCOL_golden.json pins the six protocols that began as
+// monolithic classes and now ship as block stacks.  Per protocol it records
+// what the deterministic multi-region producer/consumer kernel below
+// produces (the checksum, every DsmStats field, the machine's msgs_sent) and
+// the registration facts (hook bits, optimizable, merge_rw, every
+// ProtocolCosts field).  The monolithic implementations and the stacks wrote
+// byte-identical files before the monoliths were deleted, so the file is the
+// stacks' bit-fidelity contract: a change that moves one counter fails here
+// even when it moves every run's counter alike.  Regenerate deliberately
+// (and review the diff) with:
+//   ACE_REGEN_GOLDEN=1 ./tests/test_protocols --gtest_filter='ProtocolGolden.*'
 
 struct EquivOutcome {
   std::uint64_t checksum = 0;
   DsmStats stats;
+  std::uint64_t msgs_sent = 0;  ///< machine-wide, after the run
 };
 
-EquivOutcome run_equivalence_kernel(const std::string& protocol,
-                                    Registry reg) {
+EquivOutcome run_protocol_kernel(const std::string& protocol) {
   constexpr std::uint32_t kProcs = 4;
   constexpr std::uint32_t kRegions = 8;
   constexpr std::uint64_t kRounds = 6;
   auto machine = am::Machine::create({.nprocs = kProcs});
-  Runtime rt(*machine, std::move(reg));
+  Runtime rt(*machine);
   const bool owner_computes = protocol == proto_names::kStaticUpdate ||
                               protocol == proto_names::kHomeWrite;
   const bool local_only = protocol == proto_names::kNull;
   // Migratory's recall/fetch counts depend on which contender's request
   // reaches the home first, so concurrent reads of one region are not
-  // schedule-deterministic (under either implementation).  Serializing the
-  // read phase into per-processor turns makes every access sequence — and
-  // therefore every counter — reproducible.
+  // schedule-deterministic.  Serializing the read phase into per-processor
+  // turns makes every access sequence — and therefore every counter —
+  // reproducible.
   const bool serialize_reads = protocol == proto_names::kMigratory;
   std::atomic<std::uint64_t> sum{0};
   rt.run([&](RuntimeProc& rp) {
@@ -612,7 +624,8 @@ EquivOutcome run_equivalence_kernel(const std::string& protocol,
       rp.ace_barrier(sp);
     }
   });
-  return {sum.load(), rt.aggregate_dstats()};
+  return {sum.load(), rt.aggregate_dstats(),
+          machine->aggregate_stats().msgs_sent};
 }
 
 void expect_stats_equal(const DsmStats& a, const DsmStats& b,
@@ -634,30 +647,131 @@ void expect_stats_equal(const DsmStats& a, const DsmStats& b,
   EXPECT_EQ(a.fetches, b.fetches) << what;
 }
 
-class MonolithStackEquivalence
-    : public ::testing::TestWithParam<const char*> {};
+/// Every DsmStats field, in declaration order.  The static_assert makes a
+/// new counter a compile error here until it is listed (and recorded).
+constexpr std::pair<const char*, std::uint64_t DsmStats::*> kDsmFields[] = {
+    {"gmallocs", &DsmStats::gmallocs},
+    {"maps", &DsmStats::maps},
+    {"map_meta_misses", &DsmStats::map_meta_misses},
+    {"unmaps", &DsmStats::unmaps},
+    {"start_reads", &DsmStats::start_reads},
+    {"read_misses", &DsmStats::read_misses},
+    {"start_writes", &DsmStats::start_writes},
+    {"write_misses", &DsmStats::write_misses},
+    {"barriers", &DsmStats::barriers},
+    {"locks", &DsmStats::locks},
+    {"unlocks", &DsmStats::unlocks},
+    {"invalidations", &DsmStats::invalidations},
+    {"recalls", &DsmStats::recalls},
+    {"updates", &DsmStats::updates},
+    {"fetches", &DsmStats::fetches},
+    {"flushes", &DsmStats::flushes},
+    {"acquires", &DsmStats::acquires},
+    {"releases", &DsmStats::releases},
+    {"writebacks", &DsmStats::writebacks},
+};
+static_assert(sizeof(DsmStats) ==
+              std::size(kDsmFields) * sizeof(std::uint64_t));
 
-TEST_P(MonolithStackEquivalence, SameChecksumAndStats) {
-  const std::string proto = GetParam();
-  const EquivOutcome stack =
-      run_equivalence_kernel(proto, Registry::with_builtins());
-  const EquivOutcome mono =
-      run_equivalence_kernel(proto, Registry::with_monoliths());
-  EXPECT_EQ(stack.checksum, mono.checksum) << proto;
-  EXPECT_GT(stack.checksum, 0u);
-  expect_stats_equal(stack.stats, mono.stats, proto);
+constexpr const char* kGoldenProtocols[] = {
+    proto_names::kSC,           proto_names::kNull,
+    proto_names::kDynamicUpdate, proto_names::kStaticUpdate,
+    proto_names::kHomeWrite,    proto_names::kMigratory,
+};
+
+using Facts = std::vector<std::pair<std::string, std::string>>;
+
+/// One protocol's golden facts: "<protocol>.<field>" keys with their
+/// JSON-encoded values.
+Facts golden_facts(const std::string& protocol) {
+  const EquivOutcome o = run_protocol_kernel(protocol);
+  const ProtocolInfo info = Registry::with_builtins().info(protocol);
+  const auto num = [](std::uint64_t v) { return std::to_string(v); };
+  const auto flag = [](bool b) { return std::string(b ? "true" : "false"); };
+  Facts f = {{"checksum", num(o.checksum)}, {"msgs_sent", num(o.msgs_sent)}};
+  for (const auto& [name, field] : kDsmFields)
+    f.emplace_back(std::string("dsm.") + name, num(o.stats.*field));
+  f.emplace_back("info.hooks", num(info.hooks));
+  f.emplace_back("info.optimizable", flag(info.optimizable));
+  f.emplace_back("info.merge_rw", flag(info.merge_rw));
+  f.emplace_back("info.write_policy",
+                 '"' + std::string(to_string(info.costs.write_policy)) + '"');
+  f.emplace_back("info.barrier_rounds", num(info.costs.barrier_rounds));
+  f.emplace_back("info.remote_writes", flag(info.costs.remote_writes));
+  f.emplace_back("info.coherent", flag(info.costs.coherent));
+  f.emplace_back("info.advisable", flag(info.costs.advisable));
+  for (auto& [key, value] : f) key = protocol + "." + key;
+  return f;
 }
 
-INSTANTIATE_TEST_SUITE_P(SixReexpressedProtocols, MonolithStackEquivalence,
-                         ::testing::Values(proto_names::kSC,
-                                           proto_names::kNull,
-                                           proto_names::kDynamicUpdate,
-                                           proto_names::kStaticUpdate,
-                                           proto_names::kHomeWrite,
-                                           proto_names::kMigratory),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
+/// The golden file: one flat JSON object, one fact per line.
+std::string golden_text() {
+  std::string text = "{";
+  for (const char* protocol : kGoldenProtocols)
+    for (const auto& [key, value] : golden_facts(protocol))
+      text += (text.size() > 1 ? ",\n  \"" : "\n  \"") + key + "\": " + value;
+  return text + "\n}\n";
+}
+
+std::string protocol_golden_path() {
+  return std::string(ACE_TEST_DATA_DIR) + "/PROTOCOL_golden.json";
+}
+
+std::string read_protocol_golden() {
+  std::ifstream in(protocol_golden_path(), std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+bool regenerating_golden() {
+  return std::getenv("ACE_REGEN_GOLDEN") != nullptr;
+}
+
+void expect_matches_golden(const std::string& protocol) {
+  if (regenerating_golden())
+    GTEST_SKIP() << "ProtocolGolden.RecordsSixProtocols rewrites the golden";
+  std::map<std::string, std::string> recorded;
+  std::istringstream lines(read_protocol_golden());
+  for (std::string line; std::getline(lines, line);) {
+    const auto open = line.find('"');
+    const auto sep = line.find("\": ");
+    if (sep == std::string::npos) continue;  // the braces
+    if (line.back() == ',') line.pop_back();
+    recorded[line.substr(open + 1, sep - open - 1)] = line.substr(sep + 3);
+  }
+  ASSERT_FALSE(recorded.empty()) << "missing " << protocol_golden_path();
+  for (const auto& [key, value] : golden_facts(protocol)) {
+    ASSERT_TRUE(recorded.count(key) != 0) << key << " is not recorded";
+    EXPECT_EQ(recorded[key], value) << key;
+  }
+}
+
+TEST(ProtocolGolden, RecordsSixProtocols) {
+  if (regenerating_golden()) {
+    std::ofstream out(protocol_golden_path(), std::ios::binary);
+    ASSERT_TRUE(out.good()) << protocol_golden_path();
+    out << golden_text();
+    GTEST_SKIP() << "golden regenerated at " << protocol_golden_path();
+  }
+  // Byte for byte: no fact missing, none left over, none reordered.
+  EXPECT_EQ(read_protocol_golden(), golden_text());
+}
+
+TEST(ProtocolGolden, SC) { expect_matches_golden(proto_names::kSC); }
+TEST(ProtocolGolden, Null) { expect_matches_golden(proto_names::kNull); }
+TEST(ProtocolGolden, DynamicUpdate) {
+  expect_matches_golden(proto_names::kDynamicUpdate);
+}
+TEST(ProtocolGolden, StaticUpdate) {
+  expect_matches_golden(proto_names::kStaticUpdate);
+}
+TEST(ProtocolGolden, HomeWrite) {
+  expect_matches_golden(proto_names::kHomeWrite);
+}
+TEST(ProtocolGolden, Migratory) {
+  expect_matches_golden(proto_names::kMigratory);
+}
 
 // --- Self-invalidation family ------------------------------------------------
 //

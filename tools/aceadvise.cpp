@@ -1,8 +1,8 @@
 // aceadvise — offline replay of recorded advisor signatures.
 //
 // Reads an ADVISOR_<tag>.json report (written by ace::adapt::write_report
-// from an Ace_AutoSpace / Ace_Advise run), rebuilds each decision's access
-// signature, and re-runs the cost model over the registered protocols —
+// from an adapt::auto_space / adapt::advise run), rebuilds each decision's
+// access signature, and re-runs the cost model over the registered protocols —
 // independently of the run that produced the log.  Use it to
 //   * audit a run: per decision, the full predicted ranking next to what
 //     the online advisor chose, and the prediction-vs-measured ratio;
