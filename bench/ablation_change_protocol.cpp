@@ -91,9 +91,7 @@ bench::RunResult run_strategy(Strategy strat, std::uint32_t procs,
   bench::RunResult res;
   res.modeled_s = static_cast<double>(machine.max_vclock_ns()) * 1e-9;
   res.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  const auto ms = machine.aggregate_stats();
-  res.msgs = ms.msgs_sent;
-  res.mbytes = static_cast<double>(ms.bytes_sent) / 1e6;
+  bench::record_transport(res, machine.aggregate_stats());
   res.spaces = rt.aggregate_space_metrics();
   return res;
 }

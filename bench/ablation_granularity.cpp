@@ -78,8 +78,7 @@ bench::RunResult run_layout(std::uint32_t procs, std::uint32_t iters,
   bench::RunResult res;
   res.modeled_s = static_cast<double>(machine.max_vclock_ns()) * 1e-9;
   res.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  res.msgs = machine.aggregate_stats().msgs_sent;
-  res.mbytes = static_cast<double>(machine.aggregate_stats().bytes_sent) / 1e6;
+  bench::record_transport(res, machine.aggregate_stats());
   res.spaces = rt.aggregate_space_metrics();
   return res;
 }

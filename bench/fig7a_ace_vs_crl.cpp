@@ -105,9 +105,15 @@ int main(int argc, char** argv) {
     Row row{"Barnes-Hut", {}, {}};
     double cck = 0, ack = 0;
     row.crl = bench::run_crl(
-        procs, [&](CrlApi& a) { cck = bh_run(a, p).checksum; }, base);
+        procs, [&](CrlApi& a) {
+          const double ck = bh_run(a, p).checksum;
+          if (a.me() == 0) cck = ck;
+        }, base);
     row.ace = bench::run_ace(
-        procs, [&](AceApi& a) { ack = bh_run(a, p).checksum; },
+        procs, [&](AceApi& a) {
+          const double ck = bh_run(a, p).checksum;
+          if (a.me() == 0) ack = ck;
+        },
         trace_opt("barnes_hut"));
     row.crl.checksum = cck;
     row.ace.checksum = ack;
@@ -122,9 +128,15 @@ int main(int argc, char** argv) {
     Row row{"BSC", {}, {}};
     double cck = 0, ack = 0;
     row.crl = bench::run_crl(
-        procs, [&](CrlApi& a) { cck = bsc_run(a, p).checksum; }, base);
+        procs, [&](CrlApi& a) {
+          const double ck = bsc_run(a, p).checksum;
+          if (a.me() == 0) cck = ck;
+        }, base);
     row.ace = bench::run_ace(
-        procs, [&](AceApi& a) { ack = bsc_run(a, p).checksum; },
+        procs, [&](AceApi& a) {
+          const double ck = bsc_run(a, p).checksum;
+          if (a.me() == 0) ack = ck;
+        },
         trace_opt("bsc"));
     row.crl.checksum = cck;
     row.ace.checksum = ack;
@@ -140,9 +152,15 @@ int main(int argc, char** argv) {
     Row row{"EM3D", {}, {}};
     double cck = 0, ack = 0;
     row.crl = bench::run_crl(
-        procs, [&](CrlApi& a) { cck = em3d_run(a, p).checksum; }, base);
+        procs, [&](CrlApi& a) {
+          const double ck = em3d_run(a, p).checksum;
+          if (a.me() == 0) cck = ck;
+        }, base);
     row.ace = bench::run_ace(
-        procs, [&](AceApi& a) { ack = em3d_run(a, p).checksum; },
+        procs, [&](AceApi& a) {
+          const double ck = em3d_run(a, p).checksum;
+          if (a.me() == 0) ack = ck;
+        },
         trace_opt("em3d"));
     row.crl.checksum = cck;
     row.ace.checksum = ack;
@@ -159,11 +177,17 @@ int main(int argc, char** argv) {
       double cck = 0, ack = 0;  // best tour length (post-barrier: agreed)
       auto c = bench::run_crl(
           procs,
-          [&](CrlApi& a) { cck = static_cast<double>(tsp_run(a, p).best_len); },
+          [&](CrlApi& a) {
+            const double ck = static_cast<double>(tsp_run(a, p).best_len);
+            if (a.me() == 0) cck = ck;
+          },
           base);
       auto x = bench::run_ace(
           procs,
-          [&](AceApi& a) { ack = static_cast<double>(tsp_run(a, p).best_len); },
+          [&](AceApi& a) {
+            const double ck = static_cast<double>(tsp_run(a, p).best_len);
+            if (a.me() == 0) ack = ck;
+          },
           trace_opt("tsp"));
       c.checksum = cck;
       x.checksum = ack;
@@ -180,9 +204,15 @@ int main(int argc, char** argv) {
     Row row{"Water", {}, {}};
     double cck = 0, ack = 0;
     row.crl = bench::run_crl(
-        procs, [&](CrlApi& a) { cck = water_run(a, p).checksum; }, base);
+        procs, [&](CrlApi& a) {
+          const double ck = water_run(a, p).checksum;
+          if (a.me() == 0) cck = ck;
+        }, base);
     row.ace = bench::run_ace(
-        procs, [&](AceApi& a) { ack = water_run(a, p).checksum; },
+        procs, [&](AceApi& a) {
+          const double ck = water_run(a, p).checksum;
+          if (a.me() == 0) ack = ck;
+        },
         trace_opt("water"));
     row.crl.checksum = cck;
     row.ace.checksum = ack;

@@ -198,11 +198,17 @@ int main(int argc, char** argv) {
     double sck = 0, sik = 0, sdk = 0;
     p.protocol = ace::proto_names::kSC;
     const RunResult sc = bench::run_ace(
-        procs, [&](AceApi& a) { sck = miglock_run(a, p).checksum; });
+        procs, [&](AceApi& a) {
+          const double ck = miglock_run(a, p).checksum;
+          if (a.me() == 0) sck = ck;
+        });
     p.protocol = ace::proto_names::kSelfInvalidate;
     Row si{"MigLock", "SelfInvalidate", sc, {}};
     si.custom = bench::run_ace(
-        procs, [&](AceApi& a) { sik = miglock_run(a, p).checksum; },
+        procs, [&](AceApi& a) {
+          const double ck = miglock_run(a, p).checksum;
+          if (a.me() == 0) sik = ck;
+        },
         trace_opt("miglock_si"));
     si.sc.checksum = sck;
     si.custom.checksum = sik;
@@ -210,7 +216,10 @@ int main(int argc, char** argv) {
     p.protocol = ace::proto_names::kSelfInvalidateDowngrade;
     Row sd{"MigLock", "SelfInvalidateDowngrade", sc, {}};
     sd.custom = bench::run_ace(
-        procs, [&](AceApi& a) { sdk = miglock_run(a, p).checksum; },
+        procs, [&](AceApi& a) {
+          const double ck = miglock_run(a, p).checksum;
+          if (a.me() == 0) sdk = ck;
+        },
         trace_opt("miglock_sd"));
     sd.sc.checksum = sck;
     sd.custom.checksum = sdk;

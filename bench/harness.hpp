@@ -6,7 +6,7 @@
 //     model; the primary series, host-independent),
 //   * wall time — host seconds (informative only; everything serializes
 //     onto the host's cores),
-//   * transport counters (messages, MB moved),
+//   * transport counters (messages, MB moved, polls, socket sweeps, sleeps),
 //   * per-(space, protocol) DSM counters (ace::obs) — which space cost what.
 // EXPERIMENTS.md records the model constants and the paper-vs-measured
 // comparison for every row printed here.
@@ -42,6 +42,11 @@ struct RunResult {
   double wall_s = 0;
   std::uint64_t msgs = 0;
   double mbytes = 0;
+  /// am::Stats' wait-path counters, summed over ranks: polls made, `recv`
+  /// sweeps over every peer socket (proc only), blocking sleeps entered.
+  std::uint64_t polls = 0;
+  std::uint64_t sweeps = 0;
+  std::uint64_t sleeps = 0;
   /// Which backend carried the run ("thread" / "proc-socket").
   std::string backend = "thread";
   /// Application checksum (when the bench captures one); compared
@@ -91,6 +96,15 @@ inline std::unique_ptr<ace::am::Machine> make_machine(std::uint32_t procs,
                                    .watchdog_ms = opt.watchdog_ms});
 }
 
+/// Copy a run's merged transport counters into its row.
+inline void record_transport(RunResult& r, const ace::am::Stats& s) {
+  r.msgs = s.msgs_sent;
+  r.mbytes = static_cast<double>(s.bytes_sent) / 1e6;
+  r.polls = s.polls;
+  r.sweeps = s.sweeps;
+  r.sleeps = s.sleeps;
+}
+
 /// Run `fn` (an SPMD body using AceApi) on a fresh machine/runtime.
 inline RunResult run_ace(std::uint32_t procs,
                          const std::function<void(apps::AceApi&)>& fn,
@@ -118,9 +132,7 @@ inline RunResult run_ace(std::uint32_t procs,
   r.modeled_s = static_cast<double>(machine.max_vclock_ns()) * 1e-9;
   r.wall_s = static_cast<double>(machine.last_run_wall_ns()) * 1e-9;
   r.backend = ace::am::backend_name(machine.backend());
-  const auto s = machine.aggregate_stats();
-  r.msgs = s.msgs_sent;
-  r.mbytes = static_cast<double>(s.bytes_sent) / 1e6;
+  record_transport(r, machine.aggregate_stats());
   r.spaces = rt.aggregate_space_metrics();
   r.decisions = ace::adapt::collect_decisions(rt);
   return r;
@@ -154,8 +166,7 @@ inline RunResult run_crl(std::uint32_t procs,
   r.wall_s = static_cast<double>(machine.last_run_wall_ns()) * 1e-9;
   r.backend = ace::am::backend_name(machine.backend());
   const auto s = machine.aggregate_stats();
-  r.msgs = s.msgs_sent;
-  r.mbytes = static_cast<double>(s.bytes_sent) / 1e6;
+  record_transport(r, s);
   // CRL has no spaces; surface its counters as one pseudo-space row so the
   // BENCH json schema is uniform across the Ace/CRL comparison.
   ace::obs::SpaceMetrics m;
@@ -176,6 +187,9 @@ inline void accumulate(RunResult& into, const RunResult& r) {
   into.wall_s += r.wall_s;
   into.msgs += r.msgs;
   into.mbytes += r.mbytes;
+  into.polls += r.polls;
+  into.sweeps += r.sweeps;
+  into.sleeps += r.sleeps;
   into.checksum += r.checksum;
   into.backend = r.backend;
   auto all = into.spaces;
@@ -208,6 +222,9 @@ inline std::string to_json(const std::string& name,
     w.kv("wall_s", row.res.wall_s);
     w.kv("msgs", row.res.msgs);
     w.kv("mbytes", row.res.mbytes);
+    w.kv("polls", row.res.polls);
+    w.kv("sweeps", row.res.sweeps);
+    w.kv("sleeps", row.res.sleeps);
     w.kv("checksum", row.res.checksum);
     {
       // Exact bit pattern next to the (rounded) decimal rendering, so

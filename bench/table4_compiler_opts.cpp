@@ -71,9 +71,7 @@ Variant run_variant(const std::string& name, const KernelCase& kc,
   const auto t1 = std::chrono::steady_clock::now();
   v.res.modeled_s = static_cast<double>(machine.max_vclock_ns()) * 1e-9;
   v.res.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  const auto ms = machine.aggregate_stats();
-  v.res.msgs = ms.msgs_sent;
-  v.res.mbytes = static_cast<double>(ms.bytes_sent) / 1e6;
+  bench::record_transport(v.res, machine.aggregate_stats());
   v.res.spaces = rt.aggregate_space_metrics();
   for (std::uint32_t p = 0; p < procs; ++p) {
     v.checksum += sums[p];

@@ -159,15 +159,17 @@ std::size_t Proc::poll() {
   // Process backend: flush this rank's transport batches, then pull every
   // already-arrived frame off the sockets into the mailbox, so one poll()
   // sees the same "everything that has arrived" batch semantics as the
-  // thread backend.
+  // thread backend.  The drain makes no syscall while the doorbell is quiet.
   if (machine_->transport_ != nullptr) {
     machine_->transport_->flush_all();
     machine_->transport_->drain([this](Message&& m) { enqueue(std::move(m)); });
-  } else if (delivery_ == nullptr && self_box_.empty() &&
-             mail_count_.load(std::memory_order_acquire) == 0) {
+  }
+  if (delivery_ == nullptr && self_box_.empty() &&
+      mail_count_.load(std::memory_order_acquire) == 0) {
     // Hot-path exit: nothing arrived and no policy is aging held messages.
     // A message racing in right now is indistinguishable from one arriving
-    // just after this poll; the caller's wait path re-checks under lock.
+    // just after this poll; the caller's wait path re-checks before it
+    // sleeps.
     return 0;
   }
   // Swap out the mailbox so handlers can send to *this* processor (e.g. a
@@ -247,33 +249,34 @@ void Proc::wait_for_mail() {
   // self-send or outbox segment IS the mail being waited for.
   if (!self_box_.empty()) return;
   flush_outboxes();
-  if (machine_->transport_ != nullptr) {
-    // Socket path: push out anything still coalesced (a peer may be blocked
-    // on it), then block in poll(2) on the incoming fds until a frame lands
+  Transport* const transport = machine_->transport_.get();
+  // Push out anything still coalesced: a peer may be blocked on it.
+  if (transport != nullptr) transport->flush_all();
+  // One wait discipline for both backends: a bounded yield-spin, then a
+  // real sleep.  With more processors than host cores the yield IS the
+  // handoff to the peer that will produce our mail, so the sleep (and its
+  // wake-up) is only paid when mail genuinely takes a while.  The spin
+  // watches the mailbox and, on proc, the transport's doorbell; a rung bell
+  // returns to the caller's poll, whose drain sweeps the sockets.
+  for (int i = 0; i < kWaitSpinYields; ++i) {
+    if (mail_count_.load(std::memory_order_acquire) != 0) return;
+    if (transport != nullptr && transport->rung()) return;
+    std::this_thread::yield();
+  }
+  if (transport != nullptr) {
+    // Socket path: block in poll(2) on the incoming fds until a frame lands
     // in the mailbox (same watchdog escalation as the cv path below).
-    machine_->transport_->flush_all();
-    {
-      std::lock_guard lk(mail_mu_);
-      if (!mailbox_.empty()) return;
-    }
-    if (!machine_->transport_->wait_readable(
+    if (!transport->wait_readable(
             machine_->watchdog,
             [this](Message&& m) { enqueue(std::move(m)); }))
       machine_->report_deadlock(
           *this, "rank blocked with no inbound frames past the watchdog");
     return;
   }
-  // Bounded yield-spin before a real sleep.  With more processors than host
-  // cores the yield IS the handoff to the peer that will produce our mail;
-  // the condition-variable fallback (with its futex round trips) is only
-  // paid when mail genuinely takes a while.
-  for (int i = 0; i < 128; ++i) {
-    if (mail_count_.load(std::memory_order_acquire) != 0) return;
-    std::this_thread::yield();
-  }
   std::unique_lock lk(mail_mu_);
   if (!mailbox_.empty()) return;
   sleeping_ = true;
+  stats_.sleeps += 1;
   const bool got = mail_cv_.wait_for(lk, machine_->watchdog,
                                      [&] { return !mailbox_.empty(); });
   sleeping_ = false;
@@ -422,9 +425,11 @@ Machine::Machine(const MachineOptions& opts, std::unique_ptr<Transport> transpor
   // order is not causal order, and the delivery policies' fence semantics
   // (flush lemma under chaos) need barrier frames sequenced after the user
   // frames sent before them.
-  if (transport_ != nullptr)
+  if (transport_ != nullptr) {
     transport_->set_fence_predicate(
         [this](HandlerId h) { return is_barrier_handler(h); });
+    transport_->count_into(&procs_[self_rank_]->stats_);
+  }
   if (opts.trace) enable_tracing(opts.trace_events_per_proc);
 }
 
@@ -677,7 +682,8 @@ void Machine::write_deadlock_report(std::ostream& os, const Proc& stuck,
     if (p->id_ == 0) os << " arrivals=" << p->arrivals_;
     os << " sent=" << p->stats_.msgs_sent
        << " received=" << p->stats_.msgs_received
-       << " polls=" << p->stats_.polls << "\n";
+       << " polls=" << p->stats_.polls << " sweeps=" << p->stats_.sweeps
+       << " sleeps=" << p->stats_.sleeps << "\n";
     {
       std::lock_guard lk(p->mail_mu_);
       for (const Message& m : p->mailbox_) {

@@ -169,7 +169,8 @@ class Proc {
     for (ProcId p = 0; p < static_cast<ProcId>(outbox_.size()); ++p)
       flush_to(p);
   }
-  /// Blocks until the mailbox is (probably) non-empty; watchdog inside.
+  /// Blocks until mail has (probably) arrived: the mailbox is non-empty
+  /// or, on proc, the transport's doorbell moved.  Watchdog inside.
   void wait_for_mail();
   /// Dispatch one released message (shared by the FIFO and policy paths).
   void dispatch(Message& m, std::uint64_t jitter_ns);
@@ -233,9 +234,11 @@ class Proc {
   std::vector<Message> poll_scratch_;
   // Eventcount-lite around the mailbox: senders skip the notify syscall
   // unless the receiver declared itself asleep (sleeping_, under mail_mu_),
-  // and a waiting receiver spins on mail_count_ for a bounded number of
-  // sched_yields — on hosts with fewer cores than processors the yield IS
-  // the handoff — before paying for a real condition-variable sleep.
+  // and a waiting receiver spins on mail_count_ (and, on proc, on the
+  // transport's doorbell) for kWaitSpinYields sched_yields — on hosts with
+  // fewer cores than processors the yield IS the handoff — before paying
+  // for a real sleep (a condition variable on thread, poll(2) on proc).
+  static constexpr int kWaitSpinYields = 128;
   std::atomic<std::uint64_t> mail_count_{0};
   bool sleeping_ = false;  ///< under mail_mu_
 };

@@ -53,6 +53,8 @@ struct Stats {
   std::uint64_t msgs_received = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t polls = 0;
+  std::uint64_t sweeps = 0;  ///< proc backend: `recv` passes over every peer
+  std::uint64_t sleeps = 0;  ///< blocking sleeps entered (cv or poll(2))
   std::uint64_t barriers = 0;
 
   void merge(const Stats& o) {
@@ -60,6 +62,8 @@ struct Stats {
     msgs_received += o.msgs_received;
     bytes_sent += o.bytes_sent;
     polls += o.polls;
+    sweeps += o.sweeps;
+    sleeps += o.sleeps;
     barriers += o.barriers;
   }
 };

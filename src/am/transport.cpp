@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <string.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -14,11 +15,14 @@
 #endif
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 
+#include "am/stats.hpp"
 #include "common/check.hpp"
 
 namespace ace::am {
@@ -119,17 +123,37 @@ int ms_until(std::chrono::steady_clock::time_point deadline) {
   return static_cast<int>(left.count());
 }
 
+// --- the arrival doorbell -------------------------------------------------
+// One cache line per rank in a MAP_SHARED page mapped before fork: bell[r]
+// counts the writes other ranks made toward rank r.  A sender bumps it
+// (release) once its bytes are in the kernel; a receiver loads it (acquire)
+// before a sweep, and skips the sweep when it has not moved since the last
+// one.  Bytes whose bump the receiver saw were in the kernel before its
+// load, so the sweep after the load reads them; bytes whose bump it did not
+// see move the bell for the next check.  A poll(2) wake sweeps regardless,
+// because the kernel can report readable before the sender's bump lands.
+
+struct alignas(64) Bell {
+  std::atomic<std::uint64_t> rung{0};
+};
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
+              "the doorbell is shared between processes: it must be lock-free");
+static_assert(sizeof(Bell) == 64, "one bell per cache line");
+
 // --- the fork + socketpair mesh -------------------------------------------
 
 class SocketTransport final : public Transport {
  public:
   SocketTransport(ProcId self, std::uint32_t nprocs, std::vector<int> fds,
-                  std::vector<pid_t> pids, std::uint32_t watchdog_ms,
-                  std::uint32_t batch_max_msgs, std::uint32_t batch_max_bytes)
+                  std::vector<pid_t> pids, Bell* bells, std::size_t bells_bytes,
+                  std::uint32_t watchdog_ms, std::uint32_t batch_max_msgs,
+                  std::uint32_t batch_max_bytes)
       : self_(self),
         nprocs_(nprocs),
         fds_(std::move(fds)),
         pids_(std::move(pids)),
+        bells_(bells),
+        bells_bytes_(bells_bytes),
         watchdog_(watchdog_ms),
         batch_msgs_(batch_max_msgs < 1 ? 1 : batch_max_msgs),
         batch_bytes_(batch_max_bytes),
@@ -137,9 +161,17 @@ class SocketTransport final : public Transport {
         tx_(nprocs),
         ctrl_(nprocs),
         expect_seq_(nprocs, {0, 0}),
-        bye_(nprocs, false) {}
+        bye_(nprocs, false) {
+    for (ProcId p = 0; p < nprocs_; ++p)
+      if (fds_[p] >= 0) pfds_.push_back({fds_[p], POLLIN, 0});
+  }
 
-  ~SocketTransport() override { finalize(0); }
+  ~SocketTransport() override {
+    finalize(0);
+    ::munmap(bells_, bells_bytes_);
+  }
+  SocketTransport(const SocketTransport&) = delete;
+  SocketTransport& operator=(const SocketTransport&) = delete;
 
   ProcId self() const override { return self_; }
   std::uint32_t nprocs() const override { return nprocs_; }
@@ -188,39 +220,48 @@ class SocketTransport final : public Transport {
     is_fence_ = std::move(pred);
   }
 
+  void count_into(Stats* stats) override { stats_ = stats; }
+
+  bool rung() const override {
+    return !spill_.empty() ||
+           bells_[self_].rung.load(std::memory_order_acquire) != swept_bell_;
+  }
+
   std::size_t drain(const MessageSink& sink) override {
     std::size_t n = flush_spill(sink);
+    // The doorbell: no syscall unless a peer finished a write since the
+    // last sweep, or poll(2) woke us (readable can precede the bump).
+    const std::uint64_t bell = bells_[self_].rung.load(std::memory_order_acquire);
+    if (bell == swept_bell_ && !woke_) return n;
+    swept_bell_ = bell;
+    woke_ = false;
     // Stage one full sweep of every peer.  If the sweep picked up a fence
     // (barrier) frame, sweep again: everything sent before that fence was
     // already buffered on its own stream when the fence was read (stream
     // writes complete synchronously into the peer's kernel buffer), so one
     // more pass closes the causal set.  Repeat while fences keep arriving.
-    std::vector<Message> staged;
     bool saw_fence = true;
     while (saw_fence) {
       saw_fence = false;
-      const std::size_t before = staged.size();
-      for (ProcId p = 0; p < nprocs_; ++p)
-        if (fds_[p] >= 0)
-          read_available(p, [&](Message&& m) { staged.push_back(std::move(m)); });
-      for (std::size_t i = before; i < staged.size(); ++i)
-        if (is_fence(staged[i].handler)) saw_fence = true;
+      const std::size_t before = staged_.size();
+      sweep([this](Message&& m) { staged_.push_back(std::move(m)); });
+      for (std::size_t i = before; i < staged_.size(); ++i)
+        if (is_fence(staged_[i].handler)) saw_fence = true;
     }
     // Emit with fence frames deferred past the user frames of this drain:
     // fd-scan order is not causal order (see set_fence_predicate), and
     // delaying a fence is always legal — the receiver just leaves its
     // barrier a moment later.  Per-sender FIFO still holds: a deferred
     // fence is flushed before any later frame from its own sender.
-    std::vector<Message> fences;
-    for (auto& m : staged) {
+    for (auto& m : staged_) {
       if (is_fence(m.handler)) {
-        fences.push_back(std::move(m));
+        fences_.push_back(std::move(m));
         continue;
       }
-      for (auto it = fences.begin(); it != fences.end();) {
+      for (auto it = fences_.begin(); it != fences_.end();) {
         if (it->src == m.src) {
           sink(std::move(*it));
-          it = fences.erase(it);
+          it = fences_.erase(it);
           n += 1;
         } else {
           ++it;
@@ -229,10 +270,12 @@ class SocketTransport final : public Transport {
       sink(std::move(m));
       n += 1;
     }
-    for (auto& f : fences) {
+    for (auto& f : fences_) {
       sink(std::move(f));
       n += 1;
     }
+    staged_.clear();
+    fences_.clear();
     return n;
   }
 
@@ -338,6 +381,13 @@ class SocketTransport final : public Transport {
   };
 
   bool is_fence(HandlerId h) const { return is_fence_ && is_fence_(h); }
+
+  /// One non-blocking `recv` pass over every peer.
+  void sweep(const MessageSink& sink) {
+    if (stats_ != nullptr) stats_->sweeps += 1;
+    for (ProcId p = 0; p < nprocs_; ++p)
+      if (fds_[p] >= 0) read_available(p, sink);
+  }
 
   std::size_t flush_spill(const MessageSink& sink) {
     std::size_t n = 0;
@@ -477,13 +527,13 @@ class SocketTransport final : public Transport {
 
   /// Block until any peer is readable or the deadline passes.
   bool poll_in(std::chrono::steady_clock::time_point deadline) {
-    std::vector<struct pollfd> pfds;
-    pfds.reserve(nprocs_);
-    for (ProcId p = 0; p < nprocs_; ++p)
-      if (fds_[p] >= 0) pfds.push_back({fds_[p], POLLIN, 0});
+    if (stats_ != nullptr) stats_->sleeps += 1;
     for (;;) {
-      const int r = ::poll(pfds.data(), pfds.size(), ms_until(deadline));
-      if (r > 0) return true;
+      const int r = ::poll(pfds_.data(), pfds_.size(), ms_until(deadline));
+      if (r > 0) {
+        woke_ = true;
+        return true;
+      }
       if (r < 0 && errno != EINTR)
         check_failed("socket transport", __FILE__, __LINE__, "poll failed");
       if (std::chrono::steady_clock::now() >= deadline) return false;
@@ -530,11 +580,15 @@ class SocketTransport final : public Transport {
   /// still-open batch wrapper was already sealed by the callers).  On a
   /// full send buffer, drain incoming frames into the spill queue while
   /// waiting for POLLOUT — the classic fix for two ranks flooding each
-  /// other past both kernel buffers.
+  /// other past both kernel buffers.  The peer's bell is rung once the
+  /// last byte is in the kernel, and also before each wait for POLLOUT, so
+  /// a peer that only polls still reads the part already written and frees
+  /// the window this write is waiting on.
   void drain_tx(ProcId dst) {
     TxBuf& tx = tx_[dst];
     ACE_CHECK_MSG(tx.batch_hdr == TxBuf::kNoBatch,
                   "drain_tx with an unsealed batch wrapper");
+    bool unrung = false;  // bytes written since the last bump
     while (tx.sent < tx.buf.size()) {
       // MSG_NOSIGNAL: a dead peer must surface as a checkable error (EPIPE
       // below), not kill this rank with SIGPIPE.
@@ -542,17 +596,16 @@ class SocketTransport final : public Transport {
                                tx.buf.size() - tx.sent, MSG_NOSIGNAL);
       if (w > 0) {
         tx.sent += static_cast<std::size_t>(w);
+        unrung = true;
         continue;
       }
       if (w < 0 && errno == EINTR) continue;
       if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (unrung) ring(dst);
+        unrung = false;
         // Receiver not keeping up: pull what peers have sent us (so they
         // can make progress too), then wait for writability.
-        for (ProcId p = 0; p < nprocs_; ++p)
-          if (fds_[p] >= 0)
-            read_available(p, [this](Message&& m) {
-              spill_.push_back(std::move(m));
-            });
+        sweep([this](Message&& m) { spill_.push_back(std::move(m)); });
         struct pollfd pfd = {fds_[dst], POLLOUT, 0};
         const int r = ::poll(&pfd, 1, static_cast<int>(watchdog_));
         ACE_CHECK_MSG(r != 0, "socket transport write stalled past watchdog");
@@ -561,14 +614,24 @@ class SocketTransport final : public Transport {
       check_failed("socket transport", __FILE__, __LINE__,
                    "write to peer rank failed (peer crashed?)");
     }
+    if (unrung) ring(dst);
     tx.buf.clear();
     tx.sent = 0;
+  }
+
+  void ring(ProcId dst) {
+    bells_[dst].rung.fetch_add(1, std::memory_order_release);
   }
 
   ProcId self_;
   std::uint32_t nprocs_;
   std::vector<int> fds_;     ///< fds_[p]: stream to rank p (-1 for self)
   std::vector<pid_t> pids_;  ///< rank 0 only: children, ranks 1..N-1
+  Bell* bells_;              ///< the shared page: one bell per rank
+  std::size_t bells_bytes_;
+  std::uint64_t swept_bell_ = 0;  ///< bells_[self_] as of the last sweep
+  bool woke_ = false;  ///< poll(2) saw a readable peer: sweep next drain
+  std::vector<struct pollfd> pfds_;  ///< every peer, POLLIN (poll_in)
   std::uint32_t watchdog_;
   std::uint32_t batch_msgs_;   ///< count watermark (1 = batching off)
   std::uint32_t batch_bytes_;  ///< byte watermark for early flush
@@ -578,6 +641,10 @@ class SocketTransport final : public Transport {
   /// Last AM seq seen per sender: program sends, handler sends.
   std::vector<std::array<std::uint64_t, 2>> expect_seq_;
   std::deque<Message> spill_;  ///< messages drained during a blocked write
+  // drain's scratch, kept across drains for its capacity (empty between).
+  std::vector<Message> staged_;  ///< the frames of one drain's sweeps
+  std::vector<Message> fences_;  ///< fence frames deferred past user frames
+  Stats* stats_ = nullptr;       ///< sweep/sleep counters (count_into)
   std::vector<bool> bye_;      ///< rank 0: which children announced teardown
   std::function<bool(HandlerId)> is_fence_;  ///< barrier-handler classifier
   bool finalized_ = false;
@@ -622,6 +689,14 @@ std::unique_ptr<Transport> make_socket_transport(std::uint32_t nprocs,
     }
   }
 
+  // The doorbell page, shared by every rank because it is mapped before fork.
+  const std::size_t bells_bytes = sizeof(Bell) * nprocs;
+  void* page = ::mmap(nullptr, bells_bytes, PROT_READ | PROT_WRITE,
+                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ACE_CHECK_MSG(page != MAP_FAILED, "cannot map the transport doorbell page");
+  auto* bells = static_cast<Bell*>(page);
+  for (std::uint32_t r = 0; r < nprocs; ++r) new (&bells[r]) Bell;
+
   // Pending stdio output would be duplicated into every child; flush first.
   std::fflush(nullptr);
 
@@ -662,9 +737,9 @@ std::unique_ptr<Transport> make_socket_transport(std::uint32_t nprocs,
   for (std::uint32_t p = 0; p < nprocs; ++p)
     if (fds[p] >= 0) set_socket_options(fds[p]);
 
-  return std::make_unique<SocketTransport>(self, nprocs, std::move(fds),
-                                           std::move(pids), watchdog_ms,
-                                           batch_max_msgs, batch_max_bytes);
+  return std::make_unique<SocketTransport>(
+      self, nprocs, std::move(fds), std::move(pids), bells, bells_bytes,
+      watchdog_ms, batch_max_msgs, batch_max_bytes);
 }
 
 }  // namespace ace::am

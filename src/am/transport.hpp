@@ -15,7 +15,12 @@
 //   * completeness: no message is dropped or duplicated; the barrier flush
 //     lemma (DESIGN.md, "Delivery model") then follows from FIFO plus the
 //     centralized barrier protocol riding the same channel;
-//   * liveness: a rank blocked in wait_for_mail wakes when a frame arrives.
+//   * liveness: a rank blocked in wait_for_mail wakes when a frame arrives;
+//   * the doorbell: every rank has an arrival counter that its peers can
+//     bump.  A sender bumps the destination's counter after its bytes are in
+//     the kernel, and a receiver loads its own counter before it sweeps, so
+//     a sweep may be skipped while the counter has not moved: whatever the
+//     loaded value announced was already readable when the sweep began.
 //
 // SocketTransport implements the contract with a full mesh of Unix-domain
 // stream socketpairs created before fork: one ordered byte stream per rank
@@ -38,6 +43,8 @@
 
 namespace ace::am {
 
+struct Stats;
+
 /// Delivery callback: hand a deserialized message to the owning Proc's
 /// mailbox (the Machine stamps arrival order there, same as a local send).
 using MessageSink = std::function<void(Message&&)>;
@@ -58,6 +65,15 @@ class Transport {
   /// after everything sent before them, so a transport must re-establish
   /// that order at drain time.  Default: no classifier, no reordering.
   virtual void set_fence_predicate(std::function<bool(HandlerId)>) {}
+
+  /// Count this rank's `recv` sweeps (Stats::sweeps) and blocking sleeps
+  /// (Stats::sleeps) into `stats`, which must outlive the transport.
+  virtual void count_into(Stats*) {}
+
+  /// True when a frame may be waiting: the doorbell moved since the last
+  /// sweep, or frames drained during a blocked write are still queued.  A
+  /// non-blocking load; wait_for_mail spins on it before sleeping.
+  virtual bool rung() const = 0;
 
   /// Serialize and ship one active message to `dst` (!= self).  A batching
   /// transport may coalesce the frame into a per-destination buffer instead
@@ -80,12 +96,14 @@ class Transport {
   virtual void flush_all() {}
 
   /// Deliver every already-arrived message to `sink` without blocking.
-  /// Returns the number delivered.
+  /// Returns the number delivered.  Makes no syscall when the doorbell has
+  /// not moved since the last sweep.
   virtual std::size_t drain(const MessageSink& sink) = 0;
 
   /// Block until at least one message has been delivered to `sink` or the
   /// timeout expires.  Returns false on timeout (the caller escalates to
-  /// the deadlock report).
+  /// the deadlock report).  Every wake from the kernel sweeps, doorbell or
+  /// not: a socket turns readable before the sender's bump lands.
   virtual bool wait_readable(std::chrono::milliseconds timeout,
                              const MessageSink& sink) = 0;
 

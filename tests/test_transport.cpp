@@ -13,7 +13,9 @@
 // state stays race-free the same way tests/test_am.cpp's does.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -284,10 +286,16 @@ TEST(BackendParity, Em3dChecksumMatchesBitForBit) {
   p.steps = 6;
   p.seed = 3;
   double thread_ck = 0, proc_ck = 0;
-  const auto t = bench::run_ace(
-      4, [&](apps::AceApi& a) { thread_ck = em3d_run(a, p).checksum; });
+  const auto t = bench::run_ace(4, [&](apps::AceApi& a) {
+    const double ck = em3d_run(a, p).checksum;
+    if (a.me() == 0) thread_ck = ck;
+  });
   const auto s = bench::run_ace(
-      4, [&](apps::AceApi& a) { proc_ck = em3d_run(a, p).checksum; },
+      4,
+      [&](apps::AceApi& a) {
+        const double ck = em3d_run(a, p).checksum;
+        if (a.me() == 0) proc_ck = ck;
+      },
       proc_opt());
   EXPECT_EQ(bits(thread_ck), bits(proc_ck));
   EXPECT_EQ(t.msgs, s.msgs);
@@ -301,10 +309,16 @@ TEST(BackendParity, WaterChecksumMatchesBitForBit) {
   p.steps = 2;
   p.seed = 5;
   double thread_ck = 0, proc_ck = 0;
-  bench::run_ace(4,
-                 [&](apps::AceApi& a) { thread_ck = water_run(a, p).checksum; });
+  bench::run_ace(4, [&](apps::AceApi& a) {
+    const double ck = water_run(a, p).checksum;
+    if (a.me() == 0) thread_ck = ck;
+  });
   bench::run_ace(
-      4, [&](apps::AceApi& a) { proc_ck = water_run(a, p).checksum; },
+      4,
+      [&](apps::AceApi& a) {
+        const double ck = water_run(a, p).checksum;
+        if (a.me() == 0) proc_ck = ck;
+      },
       proc_opt());
   EXPECT_EQ(bits(thread_ck), bits(proc_ck));
 }
@@ -321,10 +335,16 @@ TEST(BackendParity, MigLockChecksumMatchesBitForBitOnBothSiStacks) {
     p.rounds = 12;
     p.protocol = proto;
     double thread_ck = 0, proc_ck = 0;
-    const auto t = bench::run_ace(
-        4, [&](apps::AceApi& a) { thread_ck = miglock_run(a, p).checksum; });
+    const auto t = bench::run_ace(4, [&](apps::AceApi& a) {
+      const double ck = miglock_run(a, p).checksum;
+      if (a.me() == 0) thread_ck = ck;
+    });
     const auto s = bench::run_ace(
-        4, [&](apps::AceApi& a) { proc_ck = miglock_run(a, p).checksum; },
+        4,
+        [&](apps::AceApi& a) {
+          const double ck = miglock_run(a, p).checksum;
+          if (a.me() == 0) proc_ck = ck;
+        },
         proc_opt());
     EXPECT_EQ(bits(thread_ck), bits(proc_ck)) << proto;
     EXPECT_EQ(thread_ck, 4 * 12 * 3.0) << proto;  // L*rounds*(1+2)
@@ -340,10 +360,16 @@ TEST(BackendParity, CrlEm3dChecksumMatchesBitForBit) {
   p.steps = 6;
   p.seed = 3;
   double thread_ck = 0, proc_ck = 0;
-  bench::run_crl(4,
-                 [&](apps::CrlApi& a) { thread_ck = em3d_run(a, p).checksum; });
+  bench::run_crl(4, [&](apps::CrlApi& a) {
+    const double ck = em3d_run(a, p).checksum;
+    if (a.me() == 0) thread_ck = ck;
+  });
   bench::run_crl(
-      4, [&](apps::CrlApi& a) { proc_ck = em3d_run(a, p).checksum; },
+      4,
+      [&](apps::CrlApi& a) {
+        const double ck = em3d_run(a, p).checksum;
+        if (a.me() == 0) proc_ck = ck;
+      },
       proc_opt());
   EXPECT_EQ(bits(thread_ck), bits(proc_ck));
 }
@@ -635,6 +661,119 @@ TEST(Batching, ShrunkSndBufForcesPartialWriteResume) {
   });
   EXPECT_EQ(m->finalize(), 0) << "a peer rank recorded a test failure";
   ::unsetenv("ACE_SOCK_SNDBUF");
+}
+
+// --- the arrival doorbell ---------------------------------------------------
+//
+// A proc rank skips its `recv` sweep while its doorbell has not moved, and a
+// waiting rank yield-spins on the bell before it sleeps in poll(2).  A
+// wake-up lost anywhere in that handoff strands a frame in the kernel (or in
+// the spill queue) until the watchdog fires.
+
+class DoorbellPingPong
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, bool>> {};
+
+TEST_P(DoorbellPingPong, EveryMessageArrivesOnceInOrderAtEveryReplyDelay) {
+  using std::chrono::microseconds;
+  const auto [batch, small_sndbuf] = GetParam();
+  // A 16 KiB socket buffer turns every bulk frame into a run of short writes
+  // that stall on EAGAIN and spill the peer's frames.
+  if (small_sndbuf) ::setenv("ACE_SOCK_SNDBUF", "16384", 1);
+  auto m = Machine::create({.nprocs = 2,
+                            .backend = Backend::kProc,
+                            .watchdog_ms = 20'000,
+                            .batch_max_msgs = batch});
+  if (small_sndbuf) ::unsetenv("ACE_SOCK_SNDBUF");
+  m->child_exit_code = [] { return ::testing::Test::HasFailure() ? 7 : 0; };
+  std::vector<std::uint64_t> got(2, 0);  // got[r]: messages r has received
+  const auto h = m->register_handler([&](Proc& self, Message& msg) {
+    EXPECT_EQ(msg.args[0], got[self.id()])
+        << "message lost, duplicated or reordered";
+    got[self.id()] += 1;
+  });
+  constexpr std::size_t kBulk = std::size_t{128} << 10;
+  // The replier's delay catches the waiter yield-spinning (0), at the edge
+  // of its spin (50 us) and asleep in poll(2) (2 ms).
+  struct Phase {
+    microseconds delay;
+    int rounds;
+  };
+  const Phase phases[] = {
+      {microseconds{0}, 64}, {microseconds{50}, 64}, {microseconds{2000}, 16}};
+  m->run([&](Proc& p) {
+    const ProcId peer = 1 - p.id();
+    std::uint64_t sent = 0;       // stamps this rank has used
+    std::uint64_t peer_sent = 0;  // what the peer has sent by round's end
+    for (const Phase& ph : phases) {
+      const std::uint64_t sleeps0 = p.stats().sleeps;
+      auto worst = std::chrono::steady_clock::duration::zero();
+      for (int i = 0; i < ph.rounds; ++i) {
+        // On bulk rounds both ranks write a bulk frame at once.
+        const bool bulk = i % 8 == 0;
+        const auto bulk_payload = [&] {
+          return bulk ? ace::am::PayloadRef(std::vector<std::byte>(kBulk))
+                      : ace::am::PayloadRef();
+        };
+        if (p.id() == 0) {
+          const auto t0 = std::chrono::steady_clock::now();
+          p.send(peer, h, {sent++}, bulk_payload());
+          peer_sent += bulk ? 2 : 1;  // the peer's bulk frame, then its reply
+          p.wait_until([&] { return got[0] >= peer_sent; });
+          worst = std::max(worst, std::chrono::steady_clock::now() - t0);
+        } else {
+          if (bulk) p.send(peer, h, {sent++}, bulk_payload());
+          peer_sent += 1;
+          p.wait_until([&] { return got[1] >= peer_sent; });
+          if (ph.delay.count() != 0) std::this_thread::sleep_for(ph.delay);
+          p.send(peer, h, {sent++});
+        }
+      }
+      if (p.id() == 0) {
+        // Far inside the 20 s watchdog: no round waited out a poll(2) timeout.
+        EXPECT_LT(worst, std::chrono::seconds{1})
+            << "reply delay " << ph.delay.count() << " us";
+        if (ph.delay >= microseconds{2000}) {
+          EXPECT_GT(p.stats().sleeps, sleeps0)
+              << "the waiter never reached its poll(2) sleep";
+        }
+      }
+    }
+    p.barrier();
+    EXPECT_EQ(got[p.id()], peer_sent);
+  });
+  EXPECT_EQ(m->finalize(), 0) << "a peer rank recorded a test failure";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Proc, DoorbellPingPong,
+    ::testing::Combine(::testing::Values(1u, 64u), ::testing::Bool()),
+    [](const auto& info) {
+      return "Batch" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "SndBuf16K" : "");
+    });
+
+TEST(Doorbell, IdlePollsDoNotTouchTheSockets) {
+  auto m = Machine::create({.nprocs = 2, .backend = Backend::kProc});
+  m->child_exit_code = [] { return ::testing::Test::HasFailure() ? 7 : 0; };
+  bool done = false;
+  const auto h = m->register_handler([&](Proc&, Message&) { done = true; });
+  m->run([&](Proc& p) {
+    p.barrier();
+    if (p.id() == 1) {
+      EXPECT_GT(p.stats().sweeps, 0u) << "the barrier needed no sweep?";
+      // Rank 0 sends nothing until it hears from rank 1, so every poll here
+      // finds a quiet bell.  At most one sweep: the barrier release may be
+      // read after a poll(2) wake, before its sender's bump lands.
+      const std::uint64_t before = p.stats().sweeps;
+      for (int i = 0; i < 10'000; ++i) EXPECT_EQ(p.poll(), 0u);
+      EXPECT_LE(p.stats().sweeps - before, 1u);
+      p.send(0, h);
+    } else {
+      p.wait_until([&] { return done; });
+    }
+    p.barrier();
+  });
+  EXPECT_EQ(m->finalize(), 0) << "a peer rank recorded a test failure";
 }
 
 }  // namespace
