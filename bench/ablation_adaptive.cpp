@@ -76,15 +76,14 @@ bench::RunResult run_pc(std::uint32_t procs, std::uint32_t rounds,
 }
 
 bench::RunResult run_em3d(std::uint32_t procs, std::uint32_t steps,
-                          const std::string& proto, double* checksum) {
+                          const std::string& proto) {
   apps::Em3dParams p;
   p.n_e = p.n_h = 200;
   p.degree = 5;
   p.steps = steps;
   p.protocol = proto;
   return bench::run_ace(procs, [&](apps::AceApi& api) {
-    const apps::Em3dResult r = apps::em3d_run(api, p);
-    if (api.me() == 0) *checksum = r.checksum;
+    return apps::em3d_run(api, p).checksum;
   });
 }
 
@@ -200,19 +199,18 @@ int main(int argc, char** argv) {
                             proto_names::kStaticUpdate};
   WorkloadOutcome em;
   em.best_fixed = 1e30;
-  double ref_checksum = 0, checksum = 0;
+  double ref_checksum = 0;
   for (const char* proto : kFixedEm) {
-    const auto r = run_em3d(procs, em3d_steps, proto, &checksum);
-    if (proto == proto_names::kSC) ref_checksum = checksum;
-    ACE_CHECK_MSG(std::fabs(checksum - ref_checksum) < 1e-6,
+    const auto r = run_em3d(procs, em3d_steps, proto);
+    if (proto == proto_names::kSC) ref_checksum = r.checksum;
+    ACE_CHECK_MSG(std::fabs(r.checksum - ref_checksum) < 1e-6,
                   "EM3D checksum diverged between protocols");
     em.best_fixed = std::min(em.best_fixed, r.modeled_s);
     em.worst_fixed = std::max(em.worst_fixed, r.modeled_s);
     rep.push_back({"em3d", proto, r});
   }
-  const auto em_auto =
-      run_em3d(procs, em3d_steps, apps::kAutoProtocol, &checksum);
-  ACE_CHECK_MSG(std::fabs(checksum - ref_checksum) < 1e-6,
+  const auto em_auto = run_em3d(procs, em3d_steps, apps::kAutoProtocol);
+  ACE_CHECK_MSG(std::fabs(em_auto.checksum - ref_checksum) < 1e-6,
                 "EM3D checksum diverged under the advisor");
   em.auto_s = em_auto.modeled_s;
   rep.push_back({"em3d", "Auto", em_auto});

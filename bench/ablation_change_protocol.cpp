@@ -29,18 +29,12 @@ namespace {
 
 using namespace ace;
 
-volatile std::uint64_t sink_;
-void benchmark_sink(std::uint64_t v) { sink_ = v; }
-
 enum class Strategy { kSC, kDynamic, kSwitch };
 
 bench::RunResult run_strategy(Strategy strat, std::uint32_t procs,
                               std::uint32_t rounds, std::uint32_t phase_len) {
-  auto machine_ptr = am::Machine::create({.nprocs = procs});
-  am::Machine& machine = *machine_ptr;
-  Runtime rt(machine);
-  const auto t0 = std::chrono::steady_clock::now();
-  rt.run([&](RuntimeProc& rp) {
+  return bench::run_ace(procs, [&](apps::AceApi& api) {
+    RuntimeProc& rp = api.runtime_proc();
     const SpaceId sp = rp.new_space(
         strat == Strategy::kSC ? proto_names::kSC
                                : proto_names::kDynamicUpdate);
@@ -54,6 +48,9 @@ bench::RunResult run_strategy(Strategy strat, std::uint32_t procs,
     for (std::uint32_t q = 0; q < procs; ++q)
       ptr[q] = static_cast<std::uint64_t*>(rp.map(ids[q]));
 
+    // The checksum: every inter-phase sum, which all processors must see
+    // alike once the barrier has made the writes coherent.
+    double total = 0;
     for (std::uint32_t round = 0; round < rounds; ++round) {
       // --- intra phase: own region only ---------------------------------
       if (strat == Strategy::kSwitch)
@@ -82,18 +79,12 @@ bench::RunResult run_strategy(Strategy strat, std::uint32_t procs,
           sum += *ptr[q];
           rp.end_read(ptr[q]);
         }
-        benchmark_sink(sum);
+        total += static_cast<double>(sum);
         rp.ace_barrier(sp);
       }
     }
+    return total;
   });
-  const auto t1 = std::chrono::steady_clock::now();
-  bench::RunResult res;
-  res.modeled_s = static_cast<double>(machine.max_vclock_ns()) * 1e-9;
-  res.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  bench::record_transport(res, machine.aggregate_stats());
-  res.spaces = rt.aggregate_space_metrics();
-  return res;
 }
 
 }  // namespace

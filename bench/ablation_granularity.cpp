@@ -39,14 +39,10 @@ struct Layout {
 bench::RunResult run_layout(std::uint32_t procs, std::uint32_t iters,
                             std::uint32_t words_per_proc,
                             std::uint32_t regions_total) {
-  auto machine_ptr = am::Machine::create({.nprocs = procs});
-  am::Machine& machine = *machine_ptr;
-  Runtime rt(machine);
   const std::uint32_t total_words = words_per_proc * procs;
   const std::uint32_t words_per_region = total_words / regions_total;
-
-  const auto t0 = std::chrono::steady_clock::now();
-  rt.run([&](RuntimeProc& rp) {
+  return bench::run_ace(procs, [&](apps::AceApi& api) {
+    RuntimeProc& rp = api.runtime_proc();
     // Region r holds words [r*wpr, (r+1)*wpr); all homed on proc 0 (the
     // "allocating the array in one place" default a naive port produces).
     std::vector<RegionId> ids(regions_total);
@@ -73,14 +69,6 @@ bench::RunResult run_layout(std::uint32_t procs, std::uint32_t iters,
       rp.proc().barrier();
     }
   });
-  const auto t1 = std::chrono::steady_clock::now();
-
-  bench::RunResult res;
-  res.modeled_s = static_cast<double>(machine.max_vclock_ns()) * 1e-9;
-  res.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  bench::record_transport(res, machine.aggregate_stats());
-  res.spaces = rt.aggregate_space_metrics();
-  return res;
 }
 
 }  // namespace

@@ -43,6 +43,15 @@ struct Row {
   RunResult ace;
 };
 
+/// One app on both systems: `body` is a generic SPMD body returning the
+/// app's checksum, instantiated once with CrlApi and once with AceApi.
+template <class Body>
+Row compare(const std::string& app, const std::string& stem,
+            const bench::RunFlags& f, const Body& body) {
+  return {app, bench::run_crl(f.procs, body, f.run),
+          bench::run_ace(f.procs, body, f.traced("fig7a_" + stem))};
+}
+
 void print(const std::vector<Row>& rows) {
   ace::Table t({"app", "CRL modeled(s)", "Ace modeled(s)", "Ace/CRL speedup",
                 "CRL msgs", "Ace msgs", "CRL wall(s)", "Ace wall(s)"});
@@ -60,39 +69,15 @@ void print(const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   ace::Cli cli(argc, argv);
-  const auto procs = static_cast<std::uint32_t>(cli.get_int("procs", 8));
+  const bench::RunFlags f = bench::parse_run_options(cli);
   const bool full = cli.get_bool("full", false);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const bool trace = cli.get_bool("trace", false);
-  const auto chaos_seed =
-      static_cast<std::uint64_t>(cli.get_int("chaos-seed", 0));
-  const std::string backend_arg = cli.get_string("backend", "thread");
-  const std::string time_arg = cli.get_string("time", "modeled");
   cli.finish();
-
-  ace::am::Backend backend = ace::am::Backend::kThread;
-  if (!ace::am::parse_backend(backend_arg, backend)) {
-    std::fprintf(stderr, "unknown --backend=%s (want thread|proc)\n",
-                 backend_arg.c_str());
-    return 2;
-  }
-  const auto time_mode = time_arg == "wall" ? ace::am::TimeMode::kWall
-                                            : ace::am::TimeMode::kModeled;
-
-  bench::RunOptions base;
-  base.backend = backend;
-  base.time_mode = time_mode;
-  base.chaos_seed = chaos_seed;
-  auto trace_opt = [&](const std::string& app) {
-    auto o = base;
-    if (trace) o.trace_path = "TRACE_fig7a_" + app + ".json";
-    return o;
-  };
 
   std::printf(
       "Figure 7a: Ace runtime vs CRL, both on the SC invalidation protocol\n"
       "(procs=%u, %s inputs, %s backend; paper ran 32 CM-5 nodes)\n\n",
-      procs, full ? "paper-scale" : "scaled", ace::am::backend_name(backend));
+      f.procs, full ? "paper-scale" : "scaled",
+      ace::am::backend_name(f.run.backend));
 
   std::vector<Row> rows;
 
@@ -100,99 +85,47 @@ int main(int argc, char** argv) {
     BhParams p;
     p.n_bodies = full ? 16384 : 2048;
     p.steps = 4;
-    p.seed = seed;
+    p.seed = f.seed;
     p.map_per_access = true;  // CRL 1.0 annotation style (see em3d.hpp)
-    Row row{"Barnes-Hut", {}, {}};
-    double cck = 0, ack = 0;
-    row.crl = bench::run_crl(
-        procs, [&](CrlApi& a) {
-          const double ck = bh_run(a, p).checksum;
-          if (a.me() == 0) cck = ck;
-        }, base);
-    row.ace = bench::run_ace(
-        procs, [&](AceApi& a) {
-          const double ck = bh_run(a, p).checksum;
-          if (a.me() == 0) ack = ck;
-        },
-        trace_opt("barnes_hut"));
-    row.crl.checksum = cck;
-    row.ace.checksum = ack;
-    rows.push_back(row);
+    rows.push_back(compare("Barnes-Hut", "barnes_hut", f, [&](auto& a) {
+      return bh_run(a, p).checksum;
+    }));
   }
   {
     BscParams p;
     p.n_block_cols = full ? 48 : 28;
     p.block = full ? 32 : 20;
     p.band = 6;
-    p.seed = seed;
-    Row row{"BSC", {}, {}};
-    double cck = 0, ack = 0;
-    row.crl = bench::run_crl(
-        procs, [&](CrlApi& a) {
-          const double ck = bsc_run(a, p).checksum;
-          if (a.me() == 0) cck = ck;
-        }, base);
-    row.ace = bench::run_ace(
-        procs, [&](AceApi& a) {
-          const double ck = bsc_run(a, p).checksum;
-          if (a.me() == 0) ack = ck;
-        },
-        trace_opt("bsc"));
-    row.crl.checksum = cck;
-    row.ace.checksum = ack;
-    rows.push_back(row);
+    p.seed = f.seed;
+    rows.push_back(compare("BSC", "bsc", f, [&](auto& a) {
+      return bsc_run(a, p).checksum;
+    }));
   }
   {
     Em3dParams p;  // paper scale is cheap: 1000+1000, degree 10, 100 steps
     p.n_e = p.n_h = full ? 1000 : 400;
     p.degree = 10;
     p.steps = full ? 100 : 40;
-    p.seed = seed;
+    p.seed = f.seed;
     p.map_per_access = true;  // CRL 1.0 annotation style
-    Row row{"EM3D", {}, {}};
-    double cck = 0, ack = 0;
-    row.crl = bench::run_crl(
-        procs, [&](CrlApi& a) {
-          const double ck = em3d_run(a, p).checksum;
-          if (a.me() == 0) cck = ck;
-        }, base);
-    row.ace = bench::run_ace(
-        procs, [&](AceApi& a) {
-          const double ck = em3d_run(a, p).checksum;
-          if (a.me() == 0) ack = ck;
-        },
-        trace_opt("em3d"));
-    row.crl.checksum = cck;
-    row.ace.checksum = ack;
-    rows.push_back(row);
+    rows.push_back(compare("EM3D", "em3d", f, [&](auto& a) {
+      return em3d_run(a, p).checksum;
+    }));
   }
   {
     // Parallel branch-and-bound is noisy (the shared bound races); sum over
     // five instances so the comparison reflects protocol costs, not luck.
+    // The checksum is the best tour length, agreed after the final barrier.
     TspParams p;
     p.n_cities = 12;
     Row row{"TSP", {}, {}};
     for (std::uint64_t s = 0; s < 5; ++s) {
-      p.seed = seed + s;
-      double cck = 0, ack = 0;  // best tour length (post-barrier: agreed)
-      auto c = bench::run_crl(
-          procs,
-          [&](CrlApi& a) {
-            const double ck = static_cast<double>(tsp_run(a, p).best_len);
-            if (a.me() == 0) cck = ck;
-          },
-          base);
-      auto x = bench::run_ace(
-          procs,
-          [&](AceApi& a) {
-            const double ck = static_cast<double>(tsp_run(a, p).best_len);
-            if (a.me() == 0) ack = ck;
-          },
-          trace_opt("tsp"));
-      c.checksum = cck;
-      x.checksum = ack;
-      bench::accumulate(row.crl, c);
-      bench::accumulate(row.ace, x);
+      p.seed = f.seed + s;
+      const Row one = compare("TSP", "tsp", f, [&](auto& a) {
+        return static_cast<double>(tsp_run(a, p).best_len);
+      });
+      bench::accumulate(row.crl, one.crl);
+      bench::accumulate(row.ace, one.ace);
     }
     rows.push_back(row);
   }
@@ -200,23 +133,10 @@ int main(int argc, char** argv) {
     WaterParams p;
     p.n_mols = full ? 512 : 256;
     p.steps = 3;
-    p.seed = seed;
-    Row row{"Water", {}, {}};
-    double cck = 0, ack = 0;
-    row.crl = bench::run_crl(
-        procs, [&](CrlApi& a) {
-          const double ck = water_run(a, p).checksum;
-          if (a.me() == 0) cck = ck;
-        }, base);
-    row.ace = bench::run_ace(
-        procs, [&](AceApi& a) {
-          const double ck = water_run(a, p).checksum;
-          if (a.me() == 0) ack = ck;
-        },
-        trace_opt("water"));
-    row.crl.checksum = cck;
-    row.ace.checksum = ack;
-    rows.push_back(row);
+    p.seed = f.seed;
+    rows.push_back(compare("Water", "water", f, [&](auto& a) {
+      return water_run(a, p).checksum;
+    }));
   }
 
   print(rows);

@@ -6,9 +6,14 @@
 // static update protocol), average about 2x.  §3.3 additionally reports
 // ~3.5x for EM3D under *dynamic* update, which we print as its own row.
 //
-// Usage: fig7b_custom_protocols [--procs=8] [--full] [--seed=N] [--trace] [--chaos-seed=N]
+// Usage: fig7b_custom_protocols [--procs=8] [--full] [--seed=N] [--trace]
+//                               [--chaos-seed=N] [--backend=thread|proc]
+//                               [--time=modeled|wall] [--auto]
 //   --trace records each custom-protocol run's virtual-time event trace as
 //   TRACE_fig7b_<app>.json (Chrome trace-event format; open in Perfetto).
+//   --backend=proc runs every processor as a forked process over Unix
+//   sockets; every row's checksum matches --backend=thread bit-for-bit.
+//   The rest of the flags read as in fig7a_ace_vs_crl.
 // Writes BENCH_fig7b.json next to the human tables (schema: EXPERIMENTS.md).
 
 #include <cstdio>
@@ -56,29 +61,24 @@ void print(const std::vector<Row>& rows) {
 
 int main(int argc, char** argv) {
   ace::Cli cli(argc, argv);
-  const auto procs = static_cast<std::uint32_t>(cli.get_int("procs", 8));
+  const bench::RunFlags f = bench::parse_run_options(cli);
   const bool full = cli.get_bool("full", false);
-  const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const bool trace = cli.get_bool("trace", false);
-  const auto chaos_seed =
-      static_cast<std::uint64_t>(cli.get_int("chaos-seed", 0));
   // --auto adds adaptive-advisor rows: EM3D and Water run with advisors
   // switching protocols (adapt::auto_space semantics), TSP in record-only
   // advise mode (its bound space is latency-critical; see apps/tsp.hpp).
   const bool auto_mode = cli.get_bool("auto", false);
   cli.finish();
 
-  auto trace_opt = [&](const std::string& app) {
-    bench::RunOptions o;
-    if (trace) o.trace_path = "TRACE_fig7b_" + app + ".json";
-    o.chaos_seed = chaos_seed;
-    return o;
+  const std::uint32_t procs = f.procs;
+  const auto traced = [&](const std::string& app) {
+    return f.traced("fig7b_" + app);
   };
 
   std::printf(
       "Figure 7b: single SC protocol vs application-specific protocols (Ace)\n"
-      "(procs=%u, %s inputs)\n\n",
-      procs, full ? "paper-scale" : "scaled");
+      "(procs=%u, %s inputs, %s backend)\n\n",
+      procs, full ? "paper-scale" : "scaled",
+      ace::am::backend_name(f.run.backend));
 
   std::vector<Row> rows;
   std::vector<bench::Row> auto_rows;
@@ -87,13 +87,13 @@ int main(int argc, char** argv) {
     BhParams p;
     p.n_bodies = full ? 16384 : 2048;
     p.steps = 4;
-    p.seed = seed;
+    p.seed = f.seed;
+    const auto body = [&](AceApi& a) { return bh_run(a, p).checksum; };
     Row row{"Barnes-Hut", "DynamicUpdate bodies + HomeWrite tree", {}, {}};
     p.custom_protocols = false;
-    row.sc = bench::run_ace(procs, [&](AceApi& a) { bh_run(a, p); });
+    row.sc = bench::run_ace(procs, body, f.run);
     p.custom_protocols = true;
-    row.custom = bench::run_ace(procs, [&](AceApi& a) { bh_run(a, p); },
-                                trace_opt("barnes_hut"));
+    row.custom = bench::run_ace(procs, body, traced("barnes_hut"));
     rows.push_back(row);
   }
   {
@@ -101,13 +101,13 @@ int main(int argc, char** argv) {
     p.n_block_cols = full ? 48 : 28;
     p.block = full ? 32 : 20;
     p.band = 6;
-    p.seed = seed;
+    p.seed = f.seed;
+    const auto body = [&](AceApi& a) { return bsc_run(a, p).checksum; };
     Row row{"BSC", "HomeWrite (owner-writes)", {}, {}};
     p.custom_protocols = false;
-    row.sc = bench::run_ace(procs, [&](AceApi& a) { bsc_run(a, p); });
+    row.sc = bench::run_ace(procs, body, f.run);
     p.custom_protocols = true;
-    row.custom = bench::run_ace(procs, [&](AceApi& a) { bsc_run(a, p); },
-                                trace_opt("bsc"));
+    row.custom = bench::run_ace(procs, body, traced("bsc"));
     rows.push_back(row);
   }
   {
@@ -115,51 +115,47 @@ int main(int argc, char** argv) {
     p.n_e = p.n_h = full ? 1000 : 400;
     p.degree = 10;
     p.steps = full ? 100 : 40;
-    p.seed = seed;
+    p.seed = f.seed;
+    const auto body = [&](AceApi& a) { return em3d_run(a, p).checksum; };
     p.protocol = "SC";
-    const RunResult sc =
-        bench::run_ace(procs, [&](AceApi& a) { em3d_run(a, p); });
+    const RunResult sc = bench::run_ace(procs, body, f.run);
     p.protocol = "DynamicUpdate";
     Row dyn{"EM3D", "DynamicUpdate", sc, {}};
-    dyn.custom = bench::run_ace(procs, [&](AceApi& a) { em3d_run(a, p); },
-                                trace_opt("em3d_dynamic"));
+    dyn.custom = bench::run_ace(procs, body, traced("em3d_dynamic"));
     rows.push_back(dyn);
     p.protocol = "StaticUpdate";
     Row sta{"EM3D", "StaticUpdate", sc, {}};
-    sta.custom = bench::run_ace(procs, [&](AceApi& a) { em3d_run(a, p); },
-                                trace_opt("em3d_static"));
+    sta.custom = bench::run_ace(procs, body, traced("em3d_static"));
     rows.push_back(sta);
     if (auto_mode) {
       p.protocol = kAutoProtocol;
-      auto_rows.push_back(
-          {"EM3D", "Auto",
-           bench::run_ace(procs, [&](AceApi& a) { em3d_run(a, p); })});
+      auto_rows.push_back({"EM3D", "Auto", bench::run_ace(procs, body, f.run)});
     }
   }
   {
     // Parallel branch-and-bound is noisy (the shared bound races); sum over
     // five instances so the comparison reflects protocol costs, not luck.
+    // The checksum is the best tour length, agreed after the final barrier.
     TspParams p;
     p.n_cities = 12;
+    const auto body = [&](AceApi& a) {
+      return static_cast<double>(tsp_run(a, p).best_len);
+    };
     Row row{"TSP", "Counter (job tickets)", {}, {}};
     for (std::uint64_t s = 0; s < 5; ++s) {
-      p.seed = seed + s;
+      p.seed = f.seed + s;
       p.custom_counter = false;
-      const auto a0 = bench::run_ace(procs, [&](AceApi& a) { tsp_run(a, p); });
+      bench::accumulate(row.sc, bench::run_ace(procs, body, f.run));
       p.custom_counter = true;
-      const auto a1 = bench::run_ace(procs, [&](AceApi& a) { tsp_run(a, p); },
-                                     trace_opt("tsp"));
-      bench::accumulate(row.sc, a0);
-      bench::accumulate(row.custom, a1);
+      bench::accumulate(row.custom, bench::run_ace(procs, body, traced("tsp")));
     }
     rows.push_back(row);
     if (auto_mode) {
-      p.seed = seed;
+      p.seed = f.seed;
       p.custom_counter = true;
       p.auto_advise = true;
-      auto_rows.push_back(
-          {"TSP", "Auto (advise-only)",
-           bench::run_ace(procs, [&](AceApi& a) { tsp_run(a, p); })});
+      auto_rows.push_back({"TSP", "Auto (advise-only)",
+                           bench::run_ace(procs, body, f.run)});
       p.auto_advise = false;
     }
   }
@@ -167,21 +163,20 @@ int main(int argc, char** argv) {
     WaterParams p;
     p.n_mols = full ? 512 : 256;
     p.steps = 3;
-    p.seed = seed;
+    p.seed = f.seed;
+    const auto body = [&](AceApi& a) { return water_run(a, p).checksum; };
     Row row{"Water", "PipelinedWrite forces + HomeWrite pos + Null intra",
             {}, {}};
     p.custom_protocols = false;
-    row.sc = bench::run_ace(procs, [&](AceApi& a) { water_run(a, p); });
+    row.sc = bench::run_ace(procs, body, f.run);
     p.custom_protocols = true;
-    row.custom = bench::run_ace(procs, [&](AceApi& a) { water_run(a, p); },
-                                trace_opt("water"));
+    row.custom = bench::run_ace(procs, body, traced("water"));
     rows.push_back(row);
     if (auto_mode) {
       p.custom_protocols = false;
       p.auto_protocols = true;
       auto_rows.push_back(
-          {"Water", "Auto",
-           bench::run_ace(procs, [&](AceApi& a) { water_run(a, p); })});
+          {"Water", "Auto", bench::run_ace(procs, body, f.run)});
     }
   }
 
@@ -195,36 +190,19 @@ int main(int argc, char** argv) {
     MigLockParams p;
     p.n_locks = procs;
     p.rounds = full ? 256 : 64;
-    double sck = 0, sik = 0, sdk = 0;
+    const auto body = [&](AceApi& a) { return miglock_run(a, p).checksum; };
     p.protocol = ace::proto_names::kSC;
-    const RunResult sc = bench::run_ace(
-        procs, [&](AceApi& a) {
-          const double ck = miglock_run(a, p).checksum;
-          if (a.me() == 0) sck = ck;
-        });
+    const RunResult sc = bench::run_ace(procs, body, f.run);
     p.protocol = ace::proto_names::kSelfInvalidate;
     Row si{"MigLock", "SelfInvalidate", sc, {}};
-    si.custom = bench::run_ace(
-        procs, [&](AceApi& a) {
-          const double ck = miglock_run(a, p).checksum;
-          if (a.me() == 0) sik = ck;
-        },
-        trace_opt("miglock_si"));
-    si.sc.checksum = sck;
-    si.custom.checksum = sik;
+    si.custom = bench::run_ace(procs, body, traced("miglock_si"));
     rows.push_back(si);
     p.protocol = ace::proto_names::kSelfInvalidateDowngrade;
     Row sd{"MigLock", "SelfInvalidateDowngrade", sc, {}};
-    sd.custom = bench::run_ace(
-        procs, [&](AceApi& a) {
-          const double ck = miglock_run(a, p).checksum;
-          if (a.me() == 0) sdk = ck;
-        },
-        trace_opt("miglock_sd"));
-    sd.sc.checksum = sck;
-    sd.custom.checksum = sdk;
+    sd.custom = bench::run_ace(procs, body, traced("miglock_sd"));
     rows.push_back(sd);
-    ACE_CHECK_MSG(sck == sik && sck == sdk,
+    ACE_CHECK_MSG(sc.checksum == si.custom.checksum &&
+                      sc.checksum == sd.custom.checksum,
                   "MigLock checksum diverged between protocols");
   }
 

@@ -16,19 +16,21 @@
 // (schema in EXPERIMENTS.md) for scripted consumption.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "adapt/advisor.hpp"
 #include "am/delivery.hpp"
 #include "apps/api.hpp"
+#include "common/check.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -49,13 +51,15 @@ struct RunResult {
   std::uint64_t sleeps = 0;
   /// Which backend carried the run ("thread" / "proc-socket").
   std::string backend = "thread";
-  /// Application checksum (when the bench captures one); compared
+  /// What the SPMD body returned, agreed bit for bit by every rank (0 for
+  /// a body that returns nothing).  Only the harness writes it; compared
   /// bit-for-bit between backends by the conformance suite.
   double checksum = 0;
   /// Per-(space, protocol) breakdown, merged across processors (for CRL
   /// runs: one pseudo-space labeled "CRL-SC").  Message/byte counts here
   /// cover space-attributed traffic (protocol, lock, and map messages);
   /// collective and barrier traffic stays machine-level in `msgs`/`mbytes`.
+  /// Segments that counted nothing at all are left out.
   std::vector<ace::obs::SpaceMetrics> spaces;
   /// Adaptive-advisor decision logs, when the run attached advisors
   /// (adapt::auto_space / auto modes); empty otherwise.  Serialized into the
@@ -74,26 +78,57 @@ struct RunOptions {
   /// kWall makes modeled_s read the host clock too (--time=wall); wall_s is
   /// always honest wall time regardless.
   ace::am::TimeMode time_mode = ace::am::TimeMode::kModeled;
-  std::uint32_t watchdog_ms = 120'000;
   /// When non-empty, record a trace and export it here as Chrome
   /// trace-event JSON (load in Perfetto / chrome://tracing).
   std::string trace_path;
-  std::size_t trace_events_per_proc = std::size_t{1} << 16;
   /// Non-zero: run under a seeded am::ChaosPolicy (legal delivery
   /// perturbation — see am/delivery.hpp).  Modeled times then include the
   /// injected jitter; the default 0 keeps the exact FIFO fast path.
   std::uint64_t chaos_seed = 0;
 };
 
+/// The run flags the paper benches share, as parse_run_options reads them.
+struct RunFlags {
+  std::uint32_t procs = 8;  ///< --procs
+  std::uint64_t seed = 1;   ///< --seed (application input seed)
+  bool trace = false;       ///< --trace
+  RunOptions run;           ///< --backend, --time, --chaos-seed
+
+  /// `run`, plus TRACE_<stem>.json as the trace file under --trace.
+  RunOptions traced(const std::string& stem) const {
+    RunOptions o = run;
+    if (trace) o.trace_path = "TRACE_" + stem + ".json";
+    return o;
+  }
+};
+
+/// Read --procs --seed --backend --time --trace --chaos-seed.  Exits with
+/// status 2 on an unknown --backend; the caller still owns cli.finish().
+inline RunFlags parse_run_options(ace::Cli& cli) {
+  RunFlags f;
+  f.procs = static_cast<std::uint32_t>(cli.get_int("procs", f.procs));
+  f.seed = static_cast<std::uint64_t>(
+      cli.get_int("seed", static_cast<std::int64_t>(f.seed)));
+  f.trace = cli.get_bool("trace", false);
+  f.run.chaos_seed = static_cast<std::uint64_t>(cli.get_int("chaos-seed", 0));
+  const std::string backend = cli.get_string("backend", "thread");
+  if (!ace::am::parse_backend(backend, f.run.backend)) {
+    std::fprintf(stderr, "unknown --backend=%s (want thread|proc)\n",
+                 backend.c_str());
+    std::exit(2);
+  }
+  if (cli.get_string("time", "modeled") == "wall")
+    f.run.time_mode = ace::am::TimeMode::kWall;
+  return f;
+}
+
 /// Build the machine a run asked for (the factory keeps benches
 /// backend-neutral).  With Backend::kProc this forks: ranks 1..N-1 execute
 /// the same SPMD code from here until the machine is destroyed.
 inline std::unique_ptr<ace::am::Machine> make_machine(std::uint32_t procs,
                                                       const RunOptions& opt) {
-  return ace::am::Machine::create({.nprocs = procs,
-                                   .backend = opt.backend,
-                                   .time_mode = opt.time_mode,
-                                   .watchdog_ms = opt.watchdog_ms});
+  return ace::am::Machine::create(
+      {.nprocs = procs, .backend = opt.backend, .time_mode = opt.time_mode});
 }
 
 /// Copy a run's merged transport counters into its row.
@@ -105,22 +140,32 @@ inline void record_transport(RunResult& r, const ace::am::Stats& s) {
   r.sleeps = s.sleeps;
 }
 
-/// Run `fn` (an SPMD body using AceApi) on a fresh machine/runtime.
-inline RunResult run_ace(std::uint32_t procs,
-                         const std::function<void(apps::AceApi&)>& fn,
-                         const RunOptions& opt = {}) {
+/// The application API an SPMD body is handed on each runtime.
+inline apps::AceApi api_for(ace::RuntimeProc& rp) { return apps::AceApi(rp); }
+inline apps::CrlApi api_for(crl::CrlProc& cp) { return apps::CrlApi(cp); }
+
+/// Run `fn` (an SPMD body over the runtime's app API) on a fresh machine
+/// and runtime `Rt` (ace::Runtime or crl::CrlRuntime).  `fn` returns the
+/// run's checksum (a double) or nothing.  Each processor's value leaves
+/// the run through Machine::gather, and the ranks must agree bit for bit.
+template <class Rt, class Fn>
+RunResult run(std::uint32_t procs, Fn&& fn, const RunOptions& opt) {
   auto machine_ptr = make_machine(procs, opt);
   ace::am::Machine& machine = *machine_ptr;
-  ace::Runtime rt(machine);
-  if (!opt.trace_path.empty()) machine.enable_tracing(opt.trace_events_per_proc);
-  if (opt.chaos_seed != 0) {
-    ace::am::ChaosOptions copt;
-    copt.seed = opt.chaos_seed;
-    machine.set_chaos(copt);
-  }
-  rt.run([&](ace::RuntimeProc& rp) {
-    apps::AceApi api(rp);
-    fn(api);
+  Rt rt(machine);
+  if (!opt.trace_path.empty()) machine.enable_tracing();
+  if (opt.chaos_seed != 0) machine.set_chaos({.seed = opt.chaos_seed});
+  // One slot per processor, written only by that processor.
+  std::vector<double> checksums(procs);
+  rt.run([&](auto& proc) {
+    auto api = api_for(proc);
+    using R = decltype(fn(api));
+    static_assert(std::is_void_v<R> || std::is_same_v<R, double>,
+                  "an SPMD body returns its checksum (double) or nothing");
+    if constexpr (std::is_void_v<R>)
+      fn(api);
+    else
+      checksums[proc.me()] = fn(api);
   });
   if (!opt.trace_path.empty() && machine.is_primary()) {
     if (machine.write_trace(opt.trace_path))
@@ -129,54 +174,47 @@ inline RunResult run_ace(std::uint32_t procs,
       std::fprintf(stderr, "trace write FAILED: %s\n", opt.trace_path.c_str());
   }
   RunResult r;
-  r.modeled_s = static_cast<double>(machine.max_vclock_ns()) * 1e-9;
-  r.wall_s = static_cast<double>(machine.last_run_wall_ns()) * 1e-9;
-  r.backend = ace::am::backend_name(machine.backend());
-  record_transport(r, machine.aggregate_stats());
-  r.spaces = rt.aggregate_space_metrics();
-  r.decisions = ace::adapt::collect_decisions(rt);
-  return r;
-  // ~Machine here: on the process backend ranks 1..N-1 exit inside it, so
-  // everything after a run_ace call is rank-0-only code.
-}
-
-/// Run `fn` (an SPMD body using CrlApi) on a fresh machine/CRL runtime.
-inline RunResult run_crl(std::uint32_t procs,
-                         const std::function<void(apps::CrlApi&)>& fn,
-                         const RunOptions& opt = {}) {
-  auto machine_ptr = make_machine(procs, opt);
-  ace::am::Machine& machine = *machine_ptr;
-  crl::CrlRuntime rt(machine);
-  if (!opt.trace_path.empty()) machine.enable_tracing(opt.trace_events_per_proc);
-  if (opt.chaos_seed != 0) {
-    ace::am::ChaosOptions copt;
-    copt.seed = opt.chaos_seed;
-    machine.set_chaos(copt);
-  }
-  rt.run([&](crl::CrlProc& cp) {
-    apps::CrlApi api(cp);
-    fn(api);
-  });
-  if (!opt.trace_path.empty() && machine.is_primary()) {
-    if (machine.write_trace(opt.trace_path))
-      std::fprintf(stderr, "trace written to %s\n", opt.trace_path.c_str());
-  }
-  RunResult r;
+  const auto agreed =
+      machine.gather([&](ace::am::Proc& p) { return checksums[p.id()]; });
+  r.checksum = agreed[0];
+  if (machine.is_primary())
+    for (const double c : agreed)
+      ACE_CHECK_MSG(std::memcmp(&c, &r.checksum, sizeof c) == 0,
+                    "ranks returned different checksums");
   r.modeled_s = static_cast<double>(machine.max_vclock_ns()) * 1e-9;
   r.wall_s = static_cast<double>(machine.last_run_wall_ns()) * 1e-9;
   r.backend = ace::am::backend_name(machine.backend());
   const auto s = machine.aggregate_stats();
   record_transport(r, s);
-  // CRL has no spaces; surface its counters as one pseudo-space row so the
-  // BENCH json schema is uniform across the Ace/CRL comparison.
-  ace::obs::SpaceMetrics m;
-  m.space = 0;
-  m.protocol = "CRL-SC";
-  m.dsm = rt.aggregate_stats();
-  m.msgs = s.msgs_sent;
-  m.bytes = s.bytes_sent;
-  r.spaces.push_back(std::move(m));
+  if constexpr (std::is_same_v<Rt, ace::Runtime>) {
+    r.spaces = rt.aggregate_space_metrics();
+    r.decisions = ace::adapt::collect_decisions(rt);
+  } else {
+    // CRL has no spaces; surface its counters as one pseudo-space row so
+    // the BENCH json schema is uniform across the Ace/CRL comparison.
+    ace::obs::SpaceMetrics m;
+    m.protocol = "CRL-SC";
+    m.dsm = rt.aggregate_stats();
+    m.msgs = s.msgs_sent;
+    m.bytes = s.bytes_sent;
+    r.spaces.push_back(std::move(m));
+  }
+  std::erase_if(r.spaces, [](const ace::obs::SpaceMetrics& m) {
+    return m.dsm == ace::DsmStats{} && m.msgs == 0 && m.bytes == 0;
+  });
   return r;
+  // ~Machine here: on the process backend ranks 1..N-1 exit inside it, so
+  // everything after a run is rank-0-only code.
+}
+
+template <class Fn>
+RunResult run_ace(std::uint32_t procs, Fn&& fn, const RunOptions& opt = {}) {
+  return run<ace::Runtime>(procs, std::forward<Fn>(fn), opt);
+}
+
+template <class Fn>
+RunResult run_crl(std::uint32_t procs, Fn&& fn, const RunOptions& opt = {}) {
+  return run<crl::CrlRuntime>(procs, std::forward<Fn>(fn), opt);
 }
 
 /// Sum `r` into `into` (multi-instance benches like TSP average out noise

@@ -126,13 +126,14 @@ RuntimeProc& Runtime::cur() {
 
 namespace {
 
-// Flat serialization for cross-rank metric gathers (process backend).
+// Flat serialization for the cross-rank metric gather.
 // Layout: u32 count, then per segment u32 space | u32 proto_len |
 // proto bytes | DsmStats | u64 msgs | u64 bytes.  Host byte order: every
 // rank is a fork of the same binary.
 void put_raw(std::vector<std::byte>& b, const void* p, std::size_t n) {
-  const auto* s = static_cast<const std::byte*>(p);
-  b.insert(b.end(), s, s + n);
+  const std::size_t off = b.size();
+  b.resize(off + n);
+  if (n != 0) std::memcpy(b.data() + off, p, n);
 }
 
 void get_raw(const std::vector<std::byte>& b, std::size_t& off, void* p,
@@ -181,41 +182,24 @@ void decode_segs_into(const std::vector<std::byte>& b,
 
 DsmStats Runtime::aggregate_dstats() const {
   DsmStats s;
-  for (const auto& rp : rprocs_)
-    if (rp) s.merge(rp->dstats_total());
-  if (machine_.multiprocess()) {
-    // Collective on the process backend: every rank contributes its local
-    // totals; rank 0 gets the machine-wide merge, other ranks keep local.
-    std::vector<std::byte> mine(sizeof(DsmStats));
-    std::memcpy(mine.data(), &s, sizeof s);
-    const auto blobs = machine_.gather_blobs(mine);
-    if (machine_.is_primary()) {
-      DsmStats total;
-      for (const auto& b : blobs) {
-        DsmStats d;
-        ACE_CHECK(b.size() == sizeof d);
-        std::memcpy(&d, b.data(), sizeof d);
-        total.merge(d);
-      }
-      return total;
-    }
-  }
+  for (const DsmStats& d : machine_.gather([this](am::Proc& p) {
+         const RuntimeProc* rp = rprocs_[p.id()].get();
+         return rp != nullptr ? rp->dstats_total() : DsmStats{};
+       }))
+    s.merge(d);
   return s;
 }
 
 std::vector<obs::SpaceMetrics> Runtime::aggregate_space_metrics() const {
+  // Rank order reproduces the (proc-major, segment-minor) order that
+  // merge_by_key expects on either backend.
   std::vector<obs::SpaceMetrics> all;
-  for (const auto& rp : rprocs_)
-    if (rp) all.insert(all.end(), rp->segs_.begin(), rp->segs_.end());
-  if (machine_.multiprocess()) {
-    // Collective on the process backend.  Rank order reproduces the thread
-    // backend's (proc-major, segment-minor) input order to merge_by_key.
-    const auto blobs = machine_.gather_blobs(encode_segs(all));
-    if (machine_.is_primary()) {
-      all.clear();
-      for (const auto& b : blobs) decode_segs_into(b, all);
-    }
-  }
+  for (const auto& b : machine_.gather_bytes([this](am::Proc& p) {
+         const RuntimeProc* rp = rprocs_[p.id()].get();
+         return encode_segs(rp != nullptr ? rp->segs_
+                                          : std::vector<obs::SpaceMetrics>{});
+       }))
+    if (!b.empty()) decode_segs_into(b, all);
   return obs::merge_by_key(all);
 }
 

@@ -430,7 +430,6 @@ Machine::Machine(const MachineOptions& opts, std::unique_ptr<Transport> transpor
         [this](HandlerId h) { return is_barrier_handler(h); });
     transport_->count_into(&procs_[self_rank_]->stats_);
   }
-  if (opts.trace) enable_tracing(opts.trace_events_per_proc);
 }
 
 Machine::~Machine() { finalize(); }
@@ -556,6 +555,7 @@ void Machine::run_multiprocess(const ProcFn& fn) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - wall0)
             .count());
+    running_ = false;
     exchange_run_stats(wall_ns);
   }
   // On failure the closing barriers and the stats exchange are skipped on
@@ -569,35 +569,37 @@ void Machine::run_multiprocess(const ProcFn& fn) {
 }
 
 void Machine::exchange_run_stats(std::uint64_t my_wall_ns) {
-  Proc& p = *procs_[self_rank_];
-  // POD record; memcpy-safe between forked copies of the same binary.
   struct Record {
     Stats stats;
     std::uint64_t vclock_ns;
     std::uint64_t wall_ns;
   };
-  static_assert(std::is_trivially_copyable_v<Record>);
-  const auto sink = [&p](Message&& m) { p.enqueue(std::move(m)); };
-  if (self_rank_ == 0) {
-    remote_stats_.assign(nprocs(), Stats{});
-    remote_vclock_ns_.assign(nprocs(), 0);
-    last_run_wall_ns_ = my_wall_ns;
-    for (ProcId r = 1; r < nprocs(); ++r) {
-      const auto blob = transport_->recv_blob(r, watchdog, sink);
-      ACE_CHECK(blob.size() == sizeof(Record));
-      Record rec;
-      std::memcpy(&rec, blob.data(), sizeof rec);
-      remote_stats_[r] = rec.stats;
-      remote_vclock_ns_[r] = rec.vclock_ns;
-      last_run_wall_ns_ = std::max(last_run_wall_ns_, rec.wall_ns);
-    }
-  } else {
-    Record mine{p.stats_, p.vclock_ns(), my_wall_ns};
-    std::vector<std::byte> blob(sizeof mine);
-    std::memcpy(blob.data(), &mine, sizeof mine);
-    transport_->send_blob(0, blob);
-    last_run_wall_ns_ = my_wall_ns;
+  const auto recs = gather([my_wall_ns](Proc& p) {
+    return Record{p.stats_, p.vclock_ns(), my_wall_ns};
+  });
+  // This rank's own stats stay live; on ranks != 0 the other entries are
+  // zero, so every aggregate reads local-only there.
+  remote_stats_.assign(nprocs(), Stats{});
+  remote_vclock_ns_.assign(nprocs(), 0);
+  last_run_wall_ns_ = 0;
+  for (ProcId r = 0; r < nprocs(); ++r) {
+    last_run_wall_ns_ = std::max(last_run_wall_ns_, recs[r].wall_ns);
+    if (r == self_rank_) continue;
+    remote_stats_[r] = recs[r].stats;
+    remote_vclock_ns_[r] = recs[r].vclock_ns;
   }
+}
+
+std::vector<std::vector<std::byte>> Machine::gather_bytes(
+    const std::function<std::vector<std::byte>(Proc&)>& fn) {
+  ACE_CHECK_MSG(!running_,
+                "Machine::gather is a collective for quiescent points "
+                "between runs");
+  if (transport_ != nullptr) return gather_blobs(fn(*procs_[self_rank_]));
+  std::vector<std::vector<std::byte>> out;
+  out.reserve(procs_.size());
+  for (const auto& p : procs_) out.push_back(fn(*p));
+  return out;
 }
 
 std::vector<std::vector<std::byte>> Machine::gather_blobs(

@@ -35,7 +35,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <iosfwd>
@@ -43,6 +45,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "am/message.hpp"
@@ -292,10 +295,40 @@ class Machine {
   /// process's own measurement.  Valid on is_primary() after run().
   std::uint64_t last_run_wall_ns() const { return last_run_wall_ns_; }
 
-  /// Collective blob gather at a quiescent point (between run()s): every
-  /// rank contributes `mine`; rank 0 gets all nprocs blobs (indexed by
-  /// rank), other ranks get only their own entry filled.  Process backend
-  /// only — the thread backend can read any processor's state directly.
+  /// The one way results cross ranks: a collective at a quiescent point
+  /// (between run()s).  `fn(Proc&)` runs for every processor that lives in
+  /// this process (all of them on the thread backend, this rank's own on
+  /// the process backend) and returns a trivially copyable T.  The primary
+  /// gets all nprocs values in rank order; other ranks get only their own
+  /// entry, the rest value-initialized.
+  template <class Fn, class T = std::invoke_result_t<Fn&, Proc&>>
+  std::vector<T> gather(Fn&& fn) {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "Machine::gather carries raw bytes between forked ranks");
+    const auto blobs = gather_bytes([&fn](Proc& p) {
+      const T v = fn(p);
+      std::vector<std::byte> b(sizeof v);
+      std::memcpy(b.data(), &v, sizeof v);
+      return b;
+    });
+    std::vector<T> out(blobs.size());
+    for (std::size_t r = 0; r < blobs.size(); ++r) {
+      if (blobs[r].empty()) continue;  // another rank's, not ours to see
+      ACE_CHECK(blobs[r].size() == sizeof(T));
+      std::memcpy(&out[r], blobs[r].data(), sizeof(T));
+    }
+    return out;
+  }
+
+  /// gather() for variable-length records: `fn` encodes its processor's
+  /// result as bytes.  Same contract; an entry the caller may not see is
+  /// left empty.
+  std::vector<std::vector<std::byte>> gather_bytes(
+      const std::function<std::vector<std::byte>(Proc&)>& fn);
+
+  /// The process-backend transport under gather_bytes: every rank
+  /// contributes `mine`; rank 0 gets all nprocs blobs (indexed by rank),
+  /// other ranks get only their own entry filled.
   std::vector<std::vector<std::byte>> gather_blobs(
       const std::vector<std::byte>& mine);
 
@@ -388,8 +421,8 @@ class Machine {
   /// run() on the process backend: fn executes on the calling thread for
   /// this rank's processor; peers are reached through transport_.
   void run_multiprocess(const ProcFn& fn);
-  /// Post-run stats exchange (process backend, successful runs only):
-  /// ranks != 0 ship {Stats, vclock, wall} to rank 0, which caches them so
+  /// Post-run stats exchange (process backend, successful runs only): a
+  /// gather of every rank's {Stats, vclock, wall}, which rank 0 caches so
   /// aggregate_stats()/max_vclock_ns() stay local calls.
   void exchange_run_stats(std::uint64_t my_wall_ns);
 

@@ -8,7 +8,6 @@
 // way to construct a Machine.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -52,10 +51,6 @@ struct MachineOptions {
   /// Generous because benches serialize many processors onto few host
   /// cores; tests that exercise the deadlock report shrink it.
   std::uint32_t watchdog_ms = 120'000;
-  /// Allocate per-processor trace rings at creation (same effect as calling
-  /// enable_tracing immediately after create).
-  bool trace = false;
-  std::size_t trace_events_per_proc = std::size_t{1} << 16;
   /// Per-(src, dst) send coalescing (the delivery hot path's batching
   /// layer).  Outgoing messages accumulate in a per-destination buffer and
   /// are handed to the destination in one operation — one mailbox lock per

@@ -69,25 +69,11 @@ CrlProc& CrlRuntime::cur() {
 
 DsmStats CrlRuntime::aggregate_stats() const {
   DsmStats s;
-  for (const auto& p : procs_)
-    if (p) s.merge(p->stats_);
-  if (machine_.multiprocess()) {
-    // Collective on the process backend (same contract as the Ace
-    // runtime's aggregators): rank 0 returns the machine-wide merge.
-    std::vector<std::byte> mine(sizeof(DsmStats));
-    std::memcpy(mine.data(), &s, sizeof s);
-    const auto blobs = machine_.gather_blobs(mine);
-    if (machine_.is_primary()) {
-      DsmStats total;
-      for (const auto& b : blobs) {
-        DsmStats c;
-        ACE_CHECK(b.size() == sizeof c);
-        std::memcpy(&c, b.data(), sizeof c);
-        total.merge(c);
-      }
-      return total;
-    }
-  }
+  for (const DsmStats& d : machine_.gather([this](Proc& p) {
+         const CrlProc* cp = procs_[p.id()].get();
+         return cp != nullptr ? cp->stats_ : DsmStats{};
+       }))
+    s.merge(d);
   return s;
 }
 

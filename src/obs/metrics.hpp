@@ -49,6 +49,7 @@ struct DsmStats {
   std::uint64_t writebacks = 0;     ///< dirty copies written back (SI/SD)
 
   void merge(const DsmStats& o);
+  bool operator==(const DsmStats&) const = default;
 };
 
 namespace obs {

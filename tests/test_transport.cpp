@@ -239,6 +239,28 @@ TEST_P(Conformance, RankIdentityIsConsistent) {
   finish(*m);
 }
 
+TEST_P(Conformance, GatherDeliversEveryValueInRankOrder) {
+  // Machine::gather runs fn for each processor this process holds and
+  // hands the primary all of them, indexed by rank; a non-primary rank
+  // sees only its own entry.
+  struct Rec {
+    ProcId id;
+    double square;
+  };
+  auto m = make(3);
+  m->run([](Proc& p) { p.barrier(); });
+  const auto got = m->gather([](Proc& p) {
+    return Rec{p.id(), 1.5 * p.id() * p.id()};
+  });
+  ASSERT_EQ(got.size(), 3u);
+  for (ProcId r = 0; r < 3; ++r) {
+    const bool visible = m->is_primary() || r == m->self_rank();
+    EXPECT_EQ(got[r].id, visible ? r : 0u) << r;
+    EXPECT_EQ(got[r].square, visible ? 1.5 * r * r : 0.0) << r;
+  }
+  finish(*m);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, Conformance,
                          ::testing::Values(Backend::kThread, Backend::kProc),
                          [](const auto& info) {
@@ -270,8 +292,8 @@ TEST(TransportOptions, ProcBackendWithOneRankStaysInProcess) {
 // The acceptance bar for the socket backend: the fig7a application kernels
 // produce bit-for-bit identical checksums on threads and on processes.
 // run_ace/run_crl fork per call on the proc backend, so everything after a
-// call is rank-0-only code; the checksums compared here were agreed under
-// the rank-ordered allreduce, so rank 0's copy is THE result.
+// call is rank-0-only code; each body returns its rank's checksum, and the
+// harness gathers them and checks that every rank agrees.
 
 bench::RunOptions proc_opt() {
   bench::RunOptions o;
@@ -285,19 +307,11 @@ TEST(BackendParity, Em3dChecksumMatchesBitForBit) {
   p.degree = 4;
   p.steps = 6;
   p.seed = 3;
-  double thread_ck = 0, proc_ck = 0;
-  const auto t = bench::run_ace(4, [&](apps::AceApi& a) {
-    const double ck = em3d_run(a, p).checksum;
-    if (a.me() == 0) thread_ck = ck;
-  });
-  const auto s = bench::run_ace(
-      4,
-      [&](apps::AceApi& a) {
-        const double ck = em3d_run(a, p).checksum;
-        if (a.me() == 0) proc_ck = ck;
-      },
-      proc_opt());
-  EXPECT_EQ(bits(thread_ck), bits(proc_ck));
+  const auto body = [&](apps::AceApi& a) { return em3d_run(a, p).checksum; };
+  const auto t = bench::run_ace(4, body);
+  const auto s = bench::run_ace(4, body, proc_opt());
+  EXPECT_EQ(bits(t.checksum), bits(s.checksum));
+  EXPECT_NE(bits(t.checksum), 0u);
   EXPECT_EQ(t.msgs, s.msgs);
   EXPECT_EQ(s.backend, "proc-socket");
   EXPECT_GT(s.wall_s, 0.0);
@@ -308,19 +322,11 @@ TEST(BackendParity, WaterChecksumMatchesBitForBit) {
   p.n_mols = 64;
   p.steps = 2;
   p.seed = 5;
-  double thread_ck = 0, proc_ck = 0;
-  bench::run_ace(4, [&](apps::AceApi& a) {
-    const double ck = water_run(a, p).checksum;
-    if (a.me() == 0) thread_ck = ck;
-  });
-  bench::run_ace(
-      4,
-      [&](apps::AceApi& a) {
-        const double ck = water_run(a, p).checksum;
-        if (a.me() == 0) proc_ck = ck;
-      },
-      proc_opt());
-  EXPECT_EQ(bits(thread_ck), bits(proc_ck));
+  const auto body = [&](apps::AceApi& a) { return water_run(a, p).checksum; };
+  const auto t = bench::run_ace(4, body);
+  const auto s = bench::run_ace(4, body, proc_opt());
+  EXPECT_EQ(bits(t.checksum), bits(s.checksum));
+  EXPECT_NE(bits(t.checksum), 0u);
 }
 
 TEST(BackendParity, MigLockChecksumMatchesBitForBitOnBothSiStacks) {
@@ -334,20 +340,13 @@ TEST(BackendParity, MigLockChecksumMatchesBitForBitOnBothSiStacks) {
     p.n_locks = 4;
     p.rounds = 12;
     p.protocol = proto;
-    double thread_ck = 0, proc_ck = 0;
-    const auto t = bench::run_ace(4, [&](apps::AceApi& a) {
-      const double ck = miglock_run(a, p).checksum;
-      if (a.me() == 0) thread_ck = ck;
-    });
-    const auto s = bench::run_ace(
-        4,
-        [&](apps::AceApi& a) {
-          const double ck = miglock_run(a, p).checksum;
-          if (a.me() == 0) proc_ck = ck;
-        },
-        proc_opt());
-    EXPECT_EQ(bits(thread_ck), bits(proc_ck)) << proto;
-    EXPECT_EQ(thread_ck, 4 * 12 * 3.0) << proto;  // L*rounds*(1+2)
+    const auto body = [&](apps::AceApi& a) {
+      return miglock_run(a, p).checksum;
+    };
+    const auto t = bench::run_ace(4, body);
+    const auto s = bench::run_ace(4, body, proc_opt());
+    EXPECT_EQ(bits(t.checksum), bits(s.checksum)) << proto;
+    EXPECT_EQ(t.checksum, 4 * 12 * 3.0) << proto;  // L*rounds*(1+2)
     EXPECT_EQ(t.msgs, s.msgs) << proto;
     EXPECT_EQ(s.backend, "proc-socket") << proto;
   }
@@ -359,19 +358,22 @@ TEST(BackendParity, CrlEm3dChecksumMatchesBitForBit) {
   p.degree = 4;
   p.steps = 6;
   p.seed = 3;
-  double thread_ck = 0, proc_ck = 0;
-  bench::run_crl(4, [&](apps::CrlApi& a) {
-    const double ck = em3d_run(a, p).checksum;
-    if (a.me() == 0) thread_ck = ck;
-  });
-  bench::run_crl(
-      4,
-      [&](apps::CrlApi& a) {
-        const double ck = em3d_run(a, p).checksum;
-        if (a.me() == 0) proc_ck = ck;
-      },
-      proc_opt());
-  EXPECT_EQ(bits(thread_ck), bits(proc_ck));
+  const auto body = [&](apps::CrlApi& a) { return em3d_run(a, p).checksum; };
+  const auto t = bench::run_crl(4, body);
+  const auto s = bench::run_crl(4, body, proc_opt());
+  EXPECT_EQ(bits(t.checksum), bits(s.checksum));
+  EXPECT_NE(bits(t.checksum), 0u);
+}
+
+TEST(BenchHarnessDeath, RanksReturningDifferentChecksumsAbort) {
+  // The harness is the only writer of RunResult::checksum, and it takes
+  // the value only when every rank returned the same bits.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(bench::run_ace(2,
+                              [](apps::AceApi& a) {
+                                return static_cast<double>(a.me());
+                              }),
+               "ranks returned different checksums");
 }
 
 TEST(BackendParity, StatsAndModeledTimeMatchOnDeterministicWorkload) {
@@ -493,8 +495,9 @@ TEST(Batching, WatermarkFlushesWithoutSenderPoll) {
     // the barrier.  The sender may exit first (it leaves on issuing the
     // release), so it only checks after the second barrier, by which point
     // the receiver has provably left the first.
-    if (p.id() == 1)
+    if (p.id() == 1) {
       EXPECT_EQ(got.load(std::memory_order_relaxed), 2 * kBatch - 1);
+    }
     p.barrier();
     EXPECT_EQ(got.load(std::memory_order_relaxed), 2 * kBatch - 1);
   });
