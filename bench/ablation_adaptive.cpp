@@ -19,8 +19,12 @@
 // and writes the decision logs to ADVISOR_ablation_adaptive_*.json.
 //
 // The defaults are long enough for the advisor's SC warmup (it must watch a
-// couple of producer/consumer rounds before it has evidence) to amortize;
-// CI smoke runs use smaller --rounds/--em3d-steps with the checks intact.
+// couple of producer/consumer rounds before it has evidence) to amortize,
+// with little to spare.  Varying one flag with the other at its default,
+// a Release build passed every check from --rounds=120 and
+// --em3d-steps=68 at --procs=4, and from --rounds=110 and --em3d-steps=74
+// at --procs=8 (72 passed one run in three); below that the 10% bar
+// aborts.  CI runs the defaults.
 //
 // Usage: ablation_adaptive [--procs=8] [--rounds=200] [--regions=8]
 //                          [--em3d-steps=100]

@@ -51,10 +51,13 @@ struct RunResult {
   std::uint64_t sleeps = 0;
   /// Which backend carried the run ("thread" / "proc-socket").
   std::string backend = "thread";
-  /// What the SPMD body returned, agreed bit for bit by every rank (0 for
-  /// a body that returns nothing).  Only the harness writes it; compared
-  /// bit-for-bit between backends by the conformance suite.
+  /// What the SPMD body returned: agreed bit for bit by every rank, or
+  /// the rank-ordered sum of a Partial body's parts (0 for a body that
+  /// returns nothing).  Only the harness writes it; compared bit-for-bit
+  /// between backends by the conformance suite.
   double checksum = 0;
+  /// The rank-ordered sum of a Partial body's `calls` (0 otherwise).
+  std::uint64_t calls = 0;
   /// Per-(space, protocol) breakdown, merged across processors (for CRL
   /// runs: one pseudo-space labeled "CRL-SC").  Message/byte counts here
   /// cover space-attributed traffic (protocol, lock, and map messages);
@@ -131,41 +134,72 @@ inline std::unique_ptr<ace::am::Machine> make_machine(std::uint32_t procs,
       {.nprocs = procs, .backend = opt.backend, .time_mode = opt.time_mode});
 }
 
-/// Copy a run's merged transport counters into its row.
-inline void record_transport(RunResult& r, const ace::am::Stats& s) {
-  r.msgs = s.msgs_sent;
-  r.mbytes = static_cast<double>(s.bytes_sent) / 1e6;
-  r.polls = s.polls;
-  r.sweeps = s.sweeps;
-  r.sleeps = s.sleeps;
-}
-
 /// The application API an SPMD body is handed on each runtime.
 inline apps::AceApi api_for(ace::RuntimeProc& rp) { return apps::AceApi(rp); }
 inline apps::CrlApi api_for(crl::CrlProc& cp) { return apps::CrlApi(cp); }
 
-/// Run `fn` (an SPMD body over the runtime's app API) on a fresh machine
-/// and runtime `Rt` (ace::Runtime or crl::CrlRuntime).  `fn` returns the
-/// run's checksum (a double) or nothing.  Each processor's value leaves
-/// the run through Machine::gather, and the ranks must agree bit for bit.
-template <class Rt, class Fn>
-RunResult run(std::uint32_t procs, Fn&& fn, const RunOptions& opt) {
+/// What a body returns when each rank holds only its part of the result
+/// (a kernel's checksum over its own home regions, the calls it made).
+struct Partial {
+  double checksum = 0;
+  std::uint64_t calls = 0;
+};
+
+/// The set-up phase of a run that has none.
+struct NoSetup {
+  NoSetup operator()(auto&) const { return {}; }
+};
+
+/// Run an SPMD body on a fresh machine and runtime `Rt` (ace::Runtime or
+/// crl::CrlRuntime).  Unless `setup` is NoSetup, a set-up phase runs
+/// first: `setup(api)` returns this processor's state, which stays in the
+/// harness's slot for that processor, and the machine's stats and the
+/// runtime's per-space metrics are reset, so the row measures the body
+/// alone.  The body `fn(api, state)` returns the run's checksum (a double),
+/// nothing, or its rank's Partial.  Each processor's value leaves the run
+/// through the one Machine::gather: a double must agree bit for bit across
+/// ranks, and Partials are summed in rank order from rank 0.
+template <class Rt, class Setup, class Fn>
+RunResult run(std::uint32_t procs, Setup&& setup, Fn&& fn,
+              const RunOptions& opt) {
+  constexpr bool kSetup = !std::is_same_v<std::decay_t<Setup>, NoSetup>;
+  static_assert(!kSetup || std::is_same_v<Rt, ace::Runtime>,
+                "only the Ace runtime keeps per-space metrics to reset");
   auto machine_ptr = make_machine(procs, opt);
   ace::am::Machine& machine = *machine_ptr;
   Rt rt(machine);
-  if (!opt.trace_path.empty()) machine.enable_tracing();
   if (opt.chaos_seed != 0) machine.set_chaos({.seed = opt.chaos_seed});
+  using Api = std::conditional_t<std::is_same_v<Rt, ace::Runtime>,
+                                 apps::AceApi, apps::CrlApi>;
+  using State = std::invoke_result_t<Setup&, Api&>;
+  using R = std::invoke_result_t<Fn&, Api&, State&>;
+  static_assert(std::is_void_v<R> || std::is_same_v<R, double> ||
+                    std::is_same_v<R, Partial>,
+                "an SPMD body returns its checksum (double), its Partial or "
+                "nothing");
   // One slot per processor, written only by that processor.
-  std::vector<double> checksums(procs);
+  std::vector<State> states(procs);
+  std::vector<Partial> parts(procs);
+  if constexpr (kSetup) {
+    rt.run([&](auto& proc) {
+      auto api = api_for(proc);
+      states[proc.me()] = setup(api);
+    });
+    machine.reset_stats();
+    rt.reset_metrics();
+  }
+  // The trace covers the body only: set-up events would overlap it in
+  // virtual time once the clocks are reset.
+  if (!opt.trace_path.empty()) machine.enable_tracing();
   rt.run([&](auto& proc) {
     auto api = api_for(proc);
-    using R = decltype(fn(api));
-    static_assert(std::is_void_v<R> || std::is_same_v<R, double>,
-                  "an SPMD body returns its checksum (double) or nothing");
+    State& state = states[proc.me()];
     if constexpr (std::is_void_v<R>)
-      fn(api);
+      fn(api, state);
+    else if constexpr (std::is_same_v<R, Partial>)
+      parts[proc.me()] = fn(api, state);
     else
-      checksums[proc.me()] = fn(api);
+      parts[proc.me()].checksum = fn(api, state);
   });
   if (!opt.trace_path.empty() && machine.is_primary()) {
     if (machine.write_trace(opt.trace_path))
@@ -174,18 +208,28 @@ RunResult run(std::uint32_t procs, Fn&& fn, const RunOptions& opt) {
       std::fprintf(stderr, "trace write FAILED: %s\n", opt.trace_path.c_str());
   }
   RunResult r;
-  const auto agreed =
-      machine.gather([&](ace::am::Proc& p) { return checksums[p.id()]; });
-  r.checksum = agreed[0];
-  if (machine.is_primary())
-    for (const double c : agreed)
-      ACE_CHECK_MSG(std::memcmp(&c, &r.checksum, sizeof c) == 0,
-                    "ranks returned different checksums");
+  const auto gathered =
+      machine.gather([&](ace::am::Proc& p) { return parts[p.id()]; });
+  r.checksum = std::is_same_v<R, Partial> ? 0.0 : gathered[0].checksum;
+  for (const Partial& part : gathered) {
+    if constexpr (std::is_same_v<R, Partial>) {
+      r.checksum += part.checksum;
+      r.calls += part.calls;
+    } else if (machine.is_primary()) {
+      ACE_CHECK_MSG(
+          std::memcmp(&part.checksum, &r.checksum, sizeof r.checksum) == 0,
+          "ranks returned different checksums");
+    }
+  }
   r.modeled_s = static_cast<double>(machine.max_vclock_ns()) * 1e-9;
   r.wall_s = static_cast<double>(machine.last_run_wall_ns()) * 1e-9;
   r.backend = ace::am::backend_name(machine.backend());
   const auto s = machine.aggregate_stats();
-  record_transport(r, s);
+  r.msgs = s.msgs_sent;
+  r.mbytes = static_cast<double>(s.bytes_sent) / 1e6;
+  r.polls = s.polls;
+  r.sweeps = s.sweeps;
+  r.sleeps = s.sleeps;
   if constexpr (std::is_same_v<Rt, ace::Runtime>) {
     r.spaces = rt.aggregate_space_metrics();
     r.decisions = ace::adapt::collect_decisions(rt);
@@ -207,14 +251,24 @@ RunResult run(std::uint32_t procs, Fn&& fn, const RunOptions& opt) {
   // everything after a run is rank-0-only code.
 }
 
+/// Ace and CRL runs of a body `fn(api)` without a set-up phase.
 template <class Fn>
 RunResult run_ace(std::uint32_t procs, Fn&& fn, const RunOptions& opt = {}) {
-  return run<ace::Runtime>(procs, std::forward<Fn>(fn), opt);
+  return run<ace::Runtime>(
+      procs, NoSetup{}, [&fn](auto& api, NoSetup&) { return fn(api); }, opt);
 }
-
 template <class Fn>
 RunResult run_crl(std::uint32_t procs, Fn&& fn, const RunOptions& opt = {}) {
-  return run<crl::CrlRuntime>(procs, std::forward<Fn>(fn), opt);
+  return run<crl::CrlRuntime>(
+      procs, NoSetup{}, [&fn](auto& api, NoSetup&) { return fn(api); }, opt);
+}
+
+/// An Ace run with a set-up phase: `fn(api, state)` (see run).
+template <class Setup, class Fn>
+RunResult run_ace(std::uint32_t procs, Setup&& setup, Fn&& fn,
+                  const RunOptions& opt) {
+  return run<ace::Runtime>(procs, std::forward<Setup>(setup),
+                           std::forward<Fn>(fn), opt);
 }
 
 /// Sum `r` into `into` (multi-instance benches like TSP average out noise
@@ -229,6 +283,7 @@ inline void accumulate(RunResult& into, const RunResult& r) {
   into.sweeps += r.sweeps;
   into.sleeps += r.sleeps;
   into.checksum += r.checksum;
+  into.calls += r.calls;
   into.backend = r.backend;
   auto all = into.spaces;
   all.insert(all.end(), r.spaces.begin(), r.spaces.end());

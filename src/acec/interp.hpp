@@ -23,6 +23,8 @@ struct KernelArgs {
   std::vector<std::vector<RegionId>> region_tables;
   std::vector<std::vector<double>> f64_tables;
   std::vector<std::int64_t> ints;
+  /// This processor's home regions that the kernel's checksum reads.
+  std::vector<RegionId> home;
 };
 
 struct ExecStats {

@@ -1,5 +1,7 @@
 #include "acec/kernels.hpp"
 
+#include <cmath>
+
 #include "apps/ids.hpp"
 #include "common/rng.hpp"
 
@@ -91,14 +93,24 @@ std::vector<RegionId> alloc_shared(Api& rp, SpaceId space, std::uint32_t count,
   return ids;
 }
 
-double read_region_sum(RuntimeProc& rp, RegionId id, std::uint32_t doubles) {
-  auto* p = static_cast<double*>(rp.map(id));
-  rp.start_read(p);
-  double s = 0;
-  for (std::uint32_t k = 0; k < doubles; ++k) s += p[k];
-  rp.end_read(p);
-  rp.unmap(p);
-  return s;
+/// The checksum of a kernel whose home regions (KernelArgs::home) each hold
+/// `doubles` values: their sum (of their magnitudes, with `magnitudes`),
+/// summed per region, then region by region in table order.
+auto home_sum(std::uint32_t doubles, bool magnitudes = false) {
+  return [doubles, magnitudes](RuntimeProc& rp, const KernelArgs& args) {
+    double s = 0;
+    for (const RegionId id : args.home) {
+      auto* p = static_cast<double*>(rp.map(id));
+      rp.start_read(p);
+      double region = 0;
+      for (std::uint32_t k = 0; k < doubles; ++k)
+        region += magnitudes ? std::abs(p[k]) : p[k];
+      rp.end_read(p);
+      rp.unmap(p);
+      s += region;
+    }
+    return s;
+  };
 }
 
 // ---------------------------------------------------------------------------
@@ -149,15 +161,7 @@ KernelCase em3d_case(std::uint32_t scale) {
   kc.space_protocols = {{1, {proto_names::kStaticUpdate}},
                         {2, {proto_names::kStaticUpdate}}};
 
-  struct Shared {
-    std::vector<RegionId> e_ids, h_ids;
-    std::uint32_t deg, steps;
-  };
-  auto shared = std::make_shared<Shared>();
-  shared->deg = deg;
-  shared->steps = steps;
-
-  kc.setup = [shared, deg, steps, scale](RuntimeProc& rp) -> KernelArgs {
+  kc.setup = [deg, steps, scale](RuntimeProc& rp) -> KernelArgs {
     const std::uint32_t P = rp.nprocs();
     const std::uint32_t n = 24 * P * scale;
     const SpaceId eval = rp.new_space(proto_names::kSC);   // space 1
@@ -165,13 +169,6 @@ KernelCase em3d_case(std::uint32_t scale) {
     ACE_CHECK(eval == 1 && hval == 2);
     const std::vector<RegionId> e_ids = alloc_shared(rp, eval, n, sizeof(double));
     const std::vector<RegionId> h_ids = alloc_shared(rp, hval, n, sizeof(double));
-    // Collectives return identical tables on every processor; only proc 0
-    // publishes them to the cross-run Shared block (the thread join between
-    // rt.run calls orders the write before the checksum/hand readers).
-    if (rp.me() == 0) {
-      shared->e_ids = e_ids;
-      shared->h_ids = h_ids;
-    }
     // Initialize H values (E is overwritten by the kernel).
     Rng rng(7);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -204,6 +201,7 @@ KernelCase em3d_case(std::uint32_t scale) {
       }
       if (mine) my_e.push_back(e_ids[i]);
     }
+    args.home = my_e;
     args.region_tables = {std::move(my_e), std::move(nbrs)};
     args.f64_tables = {std::move(weights)};
     args.ints = {static_cast<std::int64_t>(args.region_tables[0].size()),
@@ -242,13 +240,7 @@ KernelCase em3d_case(std::uint32_t scale) {
     for (std::size_t k = 0; k < h.size(); ++k) rp.end_read(h[k]);
   };
 
-  kc.checksum = [shared](RuntimeProc& rp, const KernelArgs&) {
-    double s = 0;
-    for (std::size_t i = 0; i < shared->e_ids.size(); ++i)
-      if (rr_owner(i, rp.nprocs()) == rp.me())
-        s += read_region_sum(rp, shared->e_ids[i], 1);
-    return s;
-  };
+  kc.checksum = home_sum(1);
   return kc;
 }
 
@@ -310,13 +302,7 @@ KernelCase bsc_case(std::uint32_t scale) {
   kc.program = std::move(b.f);
   kc.space_protocols = {{1, {proto_names::kHomeWrite}}};
 
-  struct Shared {
-    std::vector<RegionId> l_blocks;  // read-only inputs (the column-k L's)
-    std::vector<RegionId> a_blocks;  // updated blocks, one per owner slot
-  };
-  auto shared = std::make_shared<Shared>();
-
-  kc.setup = [shared, bs, steps, scale](RuntimeProc& rp) -> KernelArgs {
+  kc.setup = [bs, steps, scale](RuntimeProc& rp) -> KernelArgs {
     const std::uint32_t P = rp.nprocs();
     const std::uint32_t nb = 4 * P;
     const SpaceId mat = rp.new_space(proto_names::kSC);  // space 1
@@ -327,13 +313,6 @@ KernelCase bsc_case(std::uint32_t scale) {
         alloc_shared(rp, mat, nb, bs * bs * sizeof(double));
     const std::vector<RegionId> a_blocks =
         alloc_shared(rp, mat, nb, bs * bs * sizeof(double));
-    // Collectives return identical tables on every processor; only proc 0
-    // publishes them to the cross-run Shared block (the thread join between
-    // rt.run calls orders the write before the checksum/hand readers).
-    if (rp.me() == 0) {
-      shared->l_blocks = l_blocks;
-      shared->a_blocks = a_blocks;
-    }
     Rng rng(5);
     for (std::uint32_t i = 0; i < nb; ++i) {
       std::vector<double> vals(bs * bs);
@@ -355,6 +334,7 @@ KernelCase bsc_case(std::uint32_t scale) {
       triples.push_back(l_blocks[(i + 1) % nb]);  // lik (read-only)
       triples.push_back(l_blocks[(i + 3) % nb]);  // ljk (read-only)
       triples.push_back(a_blocks[i]);             // aij (mine)
+      args.home.push_back(a_blocks[i]);
     }
     args.region_tables = {std::move(triples)};
     args.ints = {static_cast<std::int64_t>(args.region_tables[0].size() / 3),
@@ -395,13 +375,7 @@ KernelCase bsc_case(std::uint32_t scale) {
     rp.ace_barrier(1);
   };
 
-  kc.checksum = [shared, bs](RuntimeProc& rp, const KernelArgs&) {
-    double s = 0;
-    for (std::size_t i = 0; i < shared->a_blocks.size(); ++i)
-      if (rr_owner(i, rp.nprocs()) == rp.me())
-        s += read_region_sum(rp, shared->a_blocks[i], bs * bs);
-    return s;
-  };
+  kc.checksum = home_sum(bs * bs);
   return kc;
 }
 
@@ -451,12 +425,7 @@ KernelCase water_case(std::uint32_t scale) {
   kc.space_protocols = {{1, {proto_names::kHomeWrite}},
                         {2, {proto_names::kPipelinedWrite}}};
 
-  struct Shared {
-    std::vector<RegionId> pos, force, dummy;
-  };
-  auto shared = std::make_shared<Shared>();
-
-  kc.setup = [shared, scale](RuntimeProc& rp) -> KernelArgs {
+  kc.setup = [scale](RuntimeProc& rp) -> KernelArgs {
     const std::uint32_t P = rp.nprocs();
     const std::uint32_t n = 10 * P * scale;
     const SpaceId pos = rp.new_space(proto_names::kSC);    // space 1
@@ -472,18 +441,15 @@ KernelCase water_case(std::uint32_t scale) {
     // dummy region excluded from the checksum.
     const std::vector<RegionId> dummy_ids =
         alloc_shared(rp, force, P, 3 * sizeof(double));
-    // Collectives return identical tables on every processor; only proc 0
-    // publishes them to the cross-run Shared block (the thread join between
-    // rt.run calls orders the write before the checksum/hand readers).
-    if (rp.me() == 0) {
-      shared->pos = pos_ids;
-      shared->force = force_ids;
-      shared->dummy = dummy_ids;
-    }
+    // Positions are multiples of 1/256, so every force below is an exact
+    // sum: the homes' PipelinedWrite adds give the same bits in any arrival
+    // order, on either backend.
     Rng rng(3);
+    const auto coord = [&rng] {
+      return std::round(rng.next_double(-2, 2) * 256) / 256;
+    };
     for (std::uint32_t i = 0; i < n; ++i) {
-      double v[3] = {rng.next_double(-2, 2), rng.next_double(-2, 2),
-                     rng.next_double(-2, 2)};
+      double v[3] = {coord(), coord(), coord()};
       if (rr_owner(i, P) != rp.me()) continue;
       auto* p = static_cast<double*>(rp.map(pos_ids[i]));
       rp.start_write(p);
@@ -498,7 +464,10 @@ KernelCase water_case(std::uint32_t scale) {
     KernelArgs args;
     std::vector<RegionId> mine, targets;
     for (std::uint32_t i = 0; i < n; ++i)
-      if (rr_owner(i, P) == rp.me()) mine.push_back(pos_ids[i]);
+      if (rr_owner(i, P) == rp.me()) {
+        mine.push_back(pos_ids[i]);
+        args.home.push_back(force_ids[i]);
+      }
     for (std::uint32_t j = 0; j < n; ++j)
       targets.push_back(rr_owner(j, P) == rp.me() ? dummy_ids[rp.me()]
                                                   : force_ids[j]);
@@ -532,13 +501,9 @@ KernelCase water_case(std::uint32_t scale) {
     rp.ace_barrier(2);
   };
 
-  kc.checksum = [shared](RuntimeProc& rp, const KernelArgs&) {
-    double s = 0;
-    for (std::size_t i = 0; i < shared->force.size(); ++i)
-      if (rr_owner(i, rp.nprocs()) == rp.me())
-        s += read_region_sum(rp, shared->force[i], 3);
-    return s;
-  };
+  // Every pair of molecules with different owners adds d and -d to the
+  // forces, so their plain sum is exactly zero; the magnitudes are not.
+  kc.checksum = home_sum(3, /*magnitudes=*/true);
   return kc;
 }
 
@@ -584,12 +549,7 @@ KernelCase tsp_case(std::uint32_t scale) {
   kc.space_protocols = {{1, {proto_names::kHomeWrite}},
                         {0, {proto_names::kSC}}};
 
-  struct Shared {
-    RegionId dmat = 0, bound = 0;
-  };
-  auto shared = std::make_shared<Shared>();
-
-  kc.setup = [shared, n_cities, scale](RuntimeProc& rp) -> KernelArgs {
+  kc.setup = [n_cities, scale](RuntimeProc& rp) -> KernelArgs {
     const SpaceId mat = rp.new_space(proto_names::kSC);  // space 1
     ACE_CHECK(mat == 1);
     RegionId dmat = 0, bound = 0;
@@ -606,13 +566,6 @@ KernelCase tsp_case(std::uint32_t scale) {
     }
     const RegionId dmat_id = rp.bcast_region(dmat, 0);
     const RegionId bound_id = rp.bcast_region(bound, 0);
-    // Collectives return identical tables on every processor; only proc 0
-    // publishes them to the cross-run Shared block (the thread join between
-    // rt.run calls orders the write before the checksum/hand readers).
-    if (rp.me() == 0) {
-      shared->dmat = dmat_id;
-      shared->bound = bound_id;
-    }
     rp.change_protocol(mat, proto_names::kHomeWrite);
 
     KernelArgs args;
@@ -624,6 +577,7 @@ KernelCase tsp_case(std::uint32_t scale) {
     args.region_tables = {{dmat_id}, {bound_id}};
     args.f64_tables = {std::move(tours)};
     args.ints = {n_tours, n_cities, n_cities - 1};
+    if (rp.me() == 0) args.home = {dmat_id};  // the matrix's home
     return args;
   };
 
@@ -651,10 +605,7 @@ KernelCase tsp_case(std::uint32_t scale) {
     rp.unmap(bp);
   };
 
-  kc.checksum = [shared, n_cities](RuntimeProc& rp, const KernelArgs&) {
-    if (rp.me() != 0) return 0.0;
-    return read_region_sum(rp, shared->dmat, n_cities * n_cities);
-  };
+  kc.checksum = home_sum(n_cities * n_cities);
   return kc;
 }
 
@@ -715,12 +666,7 @@ KernelCase bh_case(std::uint32_t scale) {
   kc.space_protocols = {{1, {proto_names::kDynamicUpdate}},
                         {2, {proto_names::kHomeWrite}}};
 
-  struct Shared {
-    std::vector<RegionId> bodies, tree;
-  };
-  auto shared = std::make_shared<Shared>();
-
-  kc.setup = [shared, n_visits, scale](RuntimeProc& rp) -> KernelArgs {
+  kc.setup = [n_visits, scale](RuntimeProc& rp) -> KernelArgs {
     const std::uint32_t P = rp.nprocs();
     const std::uint32_t n = 12 * P * scale;
     const SpaceId bodies = rp.new_space(proto_names::kSC);  // space 1
@@ -735,13 +681,6 @@ KernelCase bh_case(std::uint32_t scale) {
     {
       apps::AceApi api(rp);
       apps::share_ids(api, tr, [](std::size_t) { return apps::ProcId{0}; });
-    }
-    // Collectives return identical tables on every processor; only proc 0
-    // publishes them to the cross-run Shared block (the thread join between
-    // rt.run calls orders the write before the checksum/hand readers).
-    if (rp.me() == 0) {
-      shared->bodies = body_ids;
-      shared->tree = tr;
     }
     Rng rng(23);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -772,6 +711,7 @@ KernelCase bh_case(std::uint32_t scale) {
     std::vector<RegionId> mine;
     for (std::uint32_t i = 0; i < n; ++i)
       if (rr_owner(i, P) == rp.me()) mine.push_back(body_ids[i]);
+    args.home = mine;
     args.region_tables = {std::move(mine), tr};
     args.ints = {static_cast<std::int64_t>(args.region_tables[0].size()),
                  n_visits};
@@ -809,13 +749,7 @@ KernelCase bh_case(std::uint32_t scale) {
     rp.ace_barrier(1);
   };
 
-  kc.checksum = [shared](RuntimeProc& rp, const KernelArgs&) {
-    double s = 0;
-    for (std::size_t i = 0; i < shared->bodies.size(); ++i)
-      if (rr_owner(i, rp.nprocs()) == rp.me())
-        s += read_region_sum(rp, shared->bodies[i], 6);
-    return s;
-  };
+  kc.checksum = home_sum(6);
   return kc;
 }
 

@@ -8,6 +8,8 @@
 #include "acec/annotate.hpp"
 #include "acec/kernels.hpp"
 #include "acec/passes.hpp"
+#include "acec/pipeline.hpp"
+#include "bench/kernel_run.hpp"
 
 namespace {
 
@@ -536,32 +538,11 @@ class KernelEquivalence
 TEST_P(KernelEquivalence, SameChecksumAsBase) {
   const auto prm = GetParam();
   constexpr std::uint32_t kProcs = 4;
+  const auto cases = table4_cases(1);
+  const KernelCase& kc = cases[prm.kernel];
+  const Compiled c = compile(kc.program, kc.space_protocols, reg());
   auto run_level = [&](int level) -> double {
-    auto cases = table4_cases(1);
-    KernelCase& kc = cases[prm.kernel];
-    Function f = annotate(kc.program);
-    PassReport rep;
-    if (level >= 1)
-      f = opt_loop_invariance(f, analyze(f, kc.space_protocols, reg()), &rep);
-    if (level >= 2)
-      f = opt_merge_calls(f, analyze(f, kc.space_protocols, reg()), &rep);
-    if (level >= 3)
-      f = opt_direct_calls(f, analyze(f, kc.space_protocols, reg()), reg(),
-                           &rep);
-    auto machine_ptr = am::Machine::create({.nprocs = kProcs});
-    am::Machine& machine = *machine_ptr;
-    Runtime rt(machine);
-    std::vector<KernelArgs> args(kProcs);
-    std::vector<double> sums(kProcs, 0);
-    rt.run([&](RuntimeProc& rp) {
-      args[rp.me()] = kc.setup(rp);
-      execute(f, rp, args[rp.me()]);
-      rp.proc().barrier();
-      sums[rp.me()] = kc.checksum(rp, args[rp.me()]);
-    });
-    double total = 0;
-    for (double s : sums) total += s;
-    return total;
+    return bench::run_kernel(kc, &c.stages[level].f, kProcs, {}).checksum;
   };
   const double base = run_level(0);
   const double opt = run_level(prm.level);

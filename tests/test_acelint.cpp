@@ -14,10 +14,9 @@
 #include <algorithm>
 
 #include "ace/config.hpp"
-#include "acec/annotate.hpp"
 #include "acec/kernels.hpp"
 #include "acec/lint.hpp"
-#include "acec/passes.hpp"
+#include "acec/pipeline.hpp"
 #include "acec/verify.hpp"
 #include "mc/checker.hpp"
 
@@ -755,37 +754,14 @@ TEST(CheckPass, AT07_LoopInvarianceMayNotTouchMaps) {
 
 TEST(Acelint, AllKernelsCleanAtEveryStage) {
   for (const auto& kc : table4_cases(1)) {
-    const Function base = annotate(kc.program);
-    PassReport rep;
-    const Function li = opt_loop_invariance(
-        base, analyze(base, kc.space_protocols, reg()), &rep);
-    const Function mc =
-        opt_merge_calls(li, analyze(li, kc.space_protocols, reg()), &rep);
-    const Function dc = opt_direct_calls(
-        mc, analyze(mc, kc.space_protocols, reg()), reg(), &rep);
-
-    const auto check = [&](const Function& f, bool post_dc) {
-      auto ds = verify(f, kc.space_protocols, reg(),
-                       VerifyOptions{.null_hooks_elided = post_dc});
-      const auto ls = lint(f, analyze(f, kc.space_protocols, reg()), &reg());
-      ds.insert(ds.end(), ls.begin(), ls.end());
-      EXPECT_TRUE(ds.empty())
-          << kc.name << "/" << f.name << ": " << to_string(ds);
-    };
-    check(base, false);
-    check(li, false);
-    check(mc, false);
-    check(dc, true);
-
-    const auto delta = [&](const Function& from, const Function& to,
-                           PassKind kind) {
-      const auto ds = check_pass(from, to, kind, kc.space_protocols, reg());
-      EXPECT_TRUE(ds.empty())
-          << kc.name << "/" << to.name << ": " << to_string(ds);
-    };
-    delta(base, li, PassKind::kLoopInvariance);
-    delta(li, mc, PassKind::kMergeCalls);
-    delta(mc, dc, PassKind::kDirectCalls);
+    const Compiled c = compile(kc.program, kc.space_protocols, reg());
+    for (const Stage& s : c.stages) {
+      EXPECT_TRUE(s.diags.empty())
+          << kc.name << "/" << s.name << ": " << to_string(s.diags);
+      EXPECT_TRUE(s.delta.empty())
+          << kc.name << "/" << s.name << ": " << to_string(s.delta);
+    }
+    EXPECT_EQ(c.diag_count(), 0u) << kc.name;
   }
 }
 
@@ -795,13 +771,7 @@ TEST(Acelint, StageHookFiresAtEveryStage) {
   std::vector<std::string> stages;
   set_stage_hook([&](const Function&, const char* s) { stages.push_back(s); });
   const auto kc = table4_cases(1).front();
-  const Function base = annotate(kc.program);
-  PassReport rep;
-  const Function li = opt_loop_invariance(
-      base, analyze(base, kc.space_protocols, reg()), &rep);
-  const Function mc =
-      opt_merge_calls(li, analyze(li, kc.space_protocols, reg()), &rep);
-  opt_direct_calls(mc, analyze(mc, kc.space_protocols, reg()), reg(), &rep);
+  compile(kc.program, kc.space_protocols, reg());
   set_stage_hook(nullptr);
   const std::vector<std::string> want = {"annotate", "li", "mc", "dc"};
   EXPECT_EQ(stages, want);

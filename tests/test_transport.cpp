@@ -22,12 +22,14 @@
 #include <thread>
 #include <vector>
 
+#include "acec/pipeline.hpp"
 #include "am/delivery.hpp"
 #include "am/machine.hpp"
 #include "apps/em3d.hpp"
 #include "apps/miglock.hpp"
 #include "apps/water.hpp"
 #include "bench/harness.hpp"
+#include "bench/kernel_run.hpp"
 
 namespace {
 
@@ -363,6 +365,22 @@ TEST(BackendParity, CrlEm3dChecksumMatchesBitForBit) {
   const auto s = bench::run_crl(4, body, proc_opt());
   EXPECT_EQ(bits(t.checksum), bits(s.checksum));
   EXPECT_NE(bits(t.checksum), 0u);
+}
+
+TEST(BackendParity, CompiledKernelsMatchBitForBit) {
+  // Table 4's compiled path over sockets: every kernel at the DC level,
+  // set up in the harness's set-up phase; each rank returns its partial
+  // checksum and protocol-call count, which the harness sums.
+  const ace::Registry reg = ace::Registry::with_builtins();
+  for (const auto& kc : ace::ir::table4_cases(1)) {
+    const auto c = ace::ir::compile(kc.program, kc.space_protocols, reg);
+    const auto t = bench::run_kernel(kc, &c.dc(), 4, {});
+    const auto s = bench::run_kernel(kc, &c.dc(), 4, proc_opt());
+    EXPECT_EQ(bits(t.checksum), bits(s.checksum)) << kc.name;
+    EXPECT_NE(bits(t.checksum), 0u) << kc.name;
+    EXPECT_EQ(t.calls, s.calls) << kc.name;
+    EXPECT_GT(t.calls, 0u) << kc.name;
+  }
 }
 
 TEST(BenchHarnessDeath, RanksReturningDifferentChecksumsAbort) {

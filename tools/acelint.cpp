@@ -1,10 +1,11 @@
 // acelint — static analysis over the Ace compiler's IR.
 //
 // Runs every Table-4 bench kernel through the full compilation pipeline
-// (annotate → LI → MC → DC) and, at each stage, the annotation verifier
-// (AV rules), the protocol-usage linter (AL rules), and — between stages —
-// the differential pass checker (AT rules) that asserts each pass preserved
-// the protocol-call multiset modulo the legal Figure-6 merges.
+// (ace::ir::compile: annotate → LI → MC → DC) and reports, at each stage,
+// the annotation verifier (AV rules), the protocol-usage linter (AL rules),
+// and — between stages — the differential pass checker (AT rules) that
+// asserts each pass preserved the protocol-call multiset modulo the legal
+// Figure-6 merges.
 //
 // Diagnostics print as `function:instruction: RULE: message`; the process
 // exits 1 if any diagnostic fired, so CI can gate on a clean run.
@@ -21,16 +22,13 @@
 //   acelint --list-rules
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "ace/config.hpp"
-#include "acec/annotate.hpp"
 #include "acec/kernels.hpp"
 #include "acec/lint.hpp"
-#include "acec/passes.hpp"
-#include "acec/verify.hpp"
+#include "acec/pipeline.hpp"
 #include "common/cli.hpp"
 #include "mc/checker.hpp"
 
@@ -50,19 +48,18 @@ std::size_t report(const std::vector<Diag>& diags) {
   return diags.size();
 }
 
-/// Verify + lint one stage; returns the number of diagnostics.
-std::size_t check_stage(const KernelCase& kc, const Function& f,
-                        const char* stage, const Registry& registry,
-                        const Options& opt) {
-  const VerifyOptions vo{.null_hooks_elided = std::strcmp(stage, "dc") == 0};
-  std::size_t n = 0;
-  n += report(verify(f, kc.space_protocols, registry, vo));
-  n += report(lint(f, analyze(f, kc.space_protocols, registry), &registry));
+/// Report one compiled stage: its pass delta, its verify + lint
+/// diagnostics, then its status line.  Returns the number of diagnostics.
+std::size_t report_stage(const KernelCase& kc, const Stage& s,
+                         const Options& opt) {
+  const std::size_t delta = report(s.delta);
+  const std::size_t n = report(s.diags);
   if (!opt.quiet)
-    std::printf("%-11s %-4s %-28s %s (%zu insts)\n", kc.name.c_str(), stage,
-                f.name.c_str(), n == 0 ? "clean" : "DIAGNOSTICS", f.code.size());
-  if (opt.dump) std::fputs(to_string(f).c_str(), stdout);
-  return n;
+    std::printf("%-11s %-4s %-28s %s (%zu insts)\n", kc.name.c_str(), s.name,
+                s.f.name.c_str(), n == 0 ? "clean" : "DIAGNOSTICS",
+                s.f.code.size());
+  if (opt.dump) std::fputs(to_string(s.f).c_str(), stdout);
+  return delta + n;
 }
 
 }  // namespace
@@ -139,27 +136,8 @@ int main(int argc, char** argv) {
     if (!opt.kernel.empty() && kc.name != opt.kernel) continue;
     matched = true;
 
-    const Function base = annotate(kc.program);
-    total += check_stage(kc, base, "base", registry, opt);
-
-    PassReport rep;
-    const Function li = opt_loop_invariance(
-        base, analyze(base, kc.space_protocols, registry), &rep);
-    total += report(check_pass(base, li, PassKind::kLoopInvariance,
-                               kc.space_protocols, registry));
-    total += check_stage(kc, li, "li", registry, opt);
-
-    const Function mc = opt_merge_calls(
-        li, analyze(li, kc.space_protocols, registry), &rep);
-    total += report(check_pass(li, mc, PassKind::kMergeCalls,
-                               kc.space_protocols, registry));
-    total += check_stage(kc, mc, "mc", registry, opt);
-
-    const Function dc = opt_direct_calls(
-        mc, analyze(mc, kc.space_protocols, registry), registry, &rep);
-    total += report(check_pass(mc, dc, PassKind::kDirectCalls,
-                               kc.space_protocols, registry));
-    total += check_stage(kc, dc, "dc", registry, opt);
+    const Compiled c = compile(kc.program, kc.space_protocols, registry);
+    for (const Stage& s : c.stages) total += report_stage(kc, s, opt);
   }
 
   if (!matched) {
