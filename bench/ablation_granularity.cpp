@@ -107,8 +107,8 @@ int main(int argc, char** argv) {
   for (const auto& l : layouts) {
     const auto r = run_layout(procs, iters, words_per_proc, l.regions);
     t.add_row({l.name, ace::fmt_f(r.modeled_s, 4),
-               ace::fmt_i(static_cast<long long>(r.msgs)),
-               ace::fmt_f(r.mbytes, 2), ace::fmt_f(r.wall_s, 2)});
+               ace::fmt_i(static_cast<long long>(r.am.msgs_sent)),
+               ace::fmt_f(r.mbytes(), 2), ace::fmt_f(r.wall_s, 2)});
     rep.push_back({l.name, "", r});
   }
   t.print();

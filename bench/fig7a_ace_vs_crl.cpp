@@ -59,8 +59,8 @@ void print(const std::vector<Row>& rows) {
     t.add_row({r.app, ace::fmt_f(r.crl.modeled_s, 3),
                ace::fmt_f(r.ace.modeled_s, 3),
                ace::fmt_f(r.crl.modeled_s / r.ace.modeled_s, 2),
-               ace::fmt_i(static_cast<long long>(r.crl.msgs)),
-               ace::fmt_i(static_cast<long long>(r.ace.msgs)),
+               ace::fmt_i(static_cast<long long>(r.crl.am.msgs_sent)),
+               ace::fmt_i(static_cast<long long>(r.ace.am.msgs_sent)),
                ace::fmt_f(r.crl.wall_s, 2), ace::fmt_f(r.ace.wall_s, 2)});
   t.print();
 }

@@ -48,8 +48,8 @@ void print(const std::vector<Row>& rows) {
     geo *= sp;
     t.add_row({r.app, r.protocol, ace::fmt_f(r.sc.modeled_s, 3),
                ace::fmt_f(r.custom.modeled_s, 3), ace::fmt_f(sp, 2),
-               ace::fmt_i(static_cast<long long>(r.sc.msgs)),
-               ace::fmt_i(static_cast<long long>(r.custom.msgs))});
+               ace::fmt_i(static_cast<long long>(r.sc.am.msgs_sent)),
+               ace::fmt_i(static_cast<long long>(r.custom.am.msgs_sent))});
   }
   t.print();
   std::printf("\ngeometric-mean speedup: %.2f (paper: ~2 on average, range "

@@ -42,13 +42,9 @@ struct RunResult {
   /// Honest wall time: on the process backend the max across ranks of each
   /// rank's run() duration (real IPC!), else this process's measurement.
   double wall_s = 0;
-  std::uint64_t msgs = 0;
-  double mbytes = 0;
-  /// am::Stats' wait-path counters, summed over ranks: polls made, `recv`
-  /// sweeps over every peer socket (proc only), blocking sleeps entered.
-  std::uint64_t polls = 0;
-  std::uint64_t sweeps = 0;
-  std::uint64_t sleeps = 0;
+  /// The transport counters (messages, bytes, polls, `recv` sweeps, sleeps,
+  /// barriers), summed over ranks.
+  ace::am::Stats am;
   /// Which backend carried the run ("thread" / "proc-socket").
   std::string backend = "thread";
   /// What the SPMD body returned: agreed bit for bit by every rank, or
@@ -61,13 +57,15 @@ struct RunResult {
   /// Per-(space, protocol) breakdown, merged across processors (for CRL
   /// runs: one pseudo-space labeled "CRL-SC").  Message/byte counts here
   /// cover space-attributed traffic (protocol, lock, and map messages);
-  /// collective and barrier traffic stays machine-level in `msgs`/`mbytes`.
+  /// collective and barrier traffic stays machine-level in `am`.
   /// Segments that counted nothing at all are left out.
   std::vector<ace::obs::SpaceMetrics> spaces;
   /// Adaptive-advisor decision logs, when the run attached advisors
   /// (adapt::auto_space / auto modes); empty otherwise.  Serialized into the
   /// BENCH json's "advisor" section.
   std::vector<ace::adapt::SpaceDecisions> decisions;
+
+  double mbytes() const { return static_cast<double>(am.bytes_sent) / 1e6; }
 };
 
 /// Optional per-run knobs (backend selection, virtual-time tracing, fault
@@ -224,12 +222,7 @@ RunResult run(std::uint32_t procs, Setup&& setup, Fn&& fn,
   r.modeled_s = static_cast<double>(machine.max_vclock_ns()) * 1e-9;
   r.wall_s = static_cast<double>(machine.last_run_wall_ns()) * 1e-9;
   r.backend = ace::am::backend_name(machine.backend());
-  const auto s = machine.aggregate_stats();
-  r.msgs = s.msgs_sent;
-  r.mbytes = static_cast<double>(s.bytes_sent) / 1e6;
-  r.polls = s.polls;
-  r.sweeps = s.sweeps;
-  r.sleeps = s.sleeps;
+  r.am = machine.aggregate_stats();
   if constexpr (std::is_same_v<Rt, ace::Runtime>) {
     r.spaces = rt.aggregate_space_metrics();
     r.decisions = ace::adapt::collect_decisions(rt);
@@ -239,8 +232,8 @@ RunResult run(std::uint32_t procs, Setup&& setup, Fn&& fn,
     ace::obs::SpaceMetrics m;
     m.protocol = "CRL-SC";
     m.dsm = rt.aggregate_stats();
-    m.msgs = s.msgs_sent;
-    m.bytes = s.bytes_sent;
+    m.msgs = r.am.msgs_sent;
+    m.bytes = r.am.bytes_sent;
     r.spaces.push_back(std::move(m));
   }
   std::erase_if(r.spaces, [](const ace::obs::SpaceMetrics& m) {
@@ -277,11 +270,7 @@ RunResult run_ace(std::uint32_t procs, Setup&& setup, Fn&& fn,
 inline void accumulate(RunResult& into, const RunResult& r) {
   into.modeled_s += r.modeled_s;
   into.wall_s += r.wall_s;
-  into.msgs += r.msgs;
-  into.mbytes += r.mbytes;
-  into.polls += r.polls;
-  into.sweeps += r.sweeps;
-  into.sleeps += r.sleeps;
+  into.am.merge(r.am);
   into.checksum += r.checksum;
   into.calls += r.calls;
   into.backend = r.backend;
@@ -313,11 +302,10 @@ inline std::string to_json(const std::string& name,
     w.kv("backend", row.res.backend);
     w.kv("modeled_s", row.res.modeled_s);
     w.kv("wall_s", row.res.wall_s);
-    w.kv("msgs", row.res.msgs);
-    w.kv("mbytes", row.res.mbytes);
-    w.kv("polls", row.res.polls);
-    w.kv("sweeps", row.res.sweeps);
-    w.kv("sleeps", row.res.sleeps);
+    w.kv("msgs", row.res.am.msgs_sent);
+    w.kv("mbytes", row.res.mbytes());
+    for (const auto& [name, field] : ace::am::kStatsFields)
+      w.kv(name, row.res.am.*field);
     w.kv("checksum", row.res.checksum);
     {
       // Exact bit pattern next to the (rounded) decimal rendering, so
@@ -332,15 +320,8 @@ inline std::string to_json(const std::string& name,
       w.begin_object();
       w.kv("space", static_cast<std::uint64_t>(sm.space));
       w.kv("protocol", sm.protocol);
-      w.kv("maps", sm.dsm.maps);
-      w.kv("start_reads", sm.dsm.start_reads);
-      w.kv("read_misses", sm.dsm.read_misses);
-      w.kv("start_writes", sm.dsm.start_writes);
-      w.kv("write_misses", sm.dsm.write_misses);
-      w.kv("barriers", sm.dsm.barriers);
-      w.kv("locks", sm.dsm.locks);
-      w.kv("invalidations", sm.dsm.invalidations);
-      w.kv("updates", sm.dsm.updates);
+      for (const auto& [name, field] : ace::kDsmFields)
+        w.kv(name, sm.dsm.*field);
       w.kv("msgs", sm.msgs);
       w.kv("bytes", sm.bytes);
       w.end_object();
@@ -386,8 +367,8 @@ inline void report(const std::string& name, const std::vector<Row>& rows) {
   for (const auto& row : rows) {
     t.add_row({row.label, row.variant, ace::fmt_f(row.res.modeled_s, 4),
                ace::fmt_f(row.res.wall_s, 3),
-               ace::fmt_i(static_cast<long long>(row.res.msgs)),
-               ace::fmt_f(row.res.mbytes, 2), "", "", "", ""});
+               ace::fmt_i(static_cast<long long>(row.res.am.msgs_sent)),
+               ace::fmt_f(row.res.mbytes(), 2), "", "", "", ""});
     for (const auto& sm : row.res.spaces) {
       t.add_row({"", "", "", "",
                  ace::fmt_i(static_cast<long long>(sm.msgs)),

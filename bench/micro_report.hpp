@@ -39,7 +39,7 @@ class ReportFunnel : public benchmark::BenchmarkReporter {
           run.iterations > 0
               ? run.real_accumulated_time / static_cast<double>(run.iterations)
               : run.real_accumulated_time;
-      row.res.msgs = static_cast<std::uint64_t>(run.iterations);
+      row.res.am.msgs_sent = static_cast<std::uint64_t>(run.iterations);
       rows.push_back(std::move(row));
     }
   }

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <map>
+#include <optional>
+#include <type_traits>
 
 #include "ace/registry.hpp"
 #include "ace/stack.hpp"
@@ -79,65 +81,110 @@ bool fail(ConfigError* err, int line, std::string msg) {
   return false;
 }
 
+/// Read one `key value;` entry of a `form` block into `key`/`value`, or
+/// the closing brace (`key` is then "}").
+bool next_entry(Lexer& lx, const char* form, std::string_view& key,
+                std::string_view& value, ConfigError* err) {
+  key = lx.next();
+  if (key == "}") return true;
+  if (key.empty())
+    return fail(err, lx.line, std::string("unterminated ") + form + " block");
+  value = lx.next();
+  if (value.empty())
+    return fail(err, lx.line,
+                "expected a value for key '" + std::string(key) + "'");
+  if (lx.next() != ";") return fail(err, lx.line, "expected ';'");
+  return true;
+}
+
+/// The registration facts a `protocol` or `stack` block names; a fact the
+/// block leaves out stays empty.
+struct Facts {
+  std::optional<unsigned> hooks;
+  std::optional<bool> optimizable, merge_rw, remote_writes, coherent,
+      advisable;
+  std::optional<WritePolicy> write_policy;
+  std::optional<std::uint32_t> barrier_rounds;
+
+  /// Overwrite the named facts in `out`.
+  void apply(ProtocolInfo& out) const {
+    if (hooks) out.hooks = *hooks;
+    if (optimizable) out.optimizable = *optimizable;
+    if (merge_rw) out.merge_rw = *merge_rw;
+    if (write_policy) out.costs.write_policy = *write_policy;
+    if (barrier_rounds) out.costs.barrier_rounds = *barrier_rounds;
+    if (remote_writes) out.costs.remote_writes = *remote_writes;
+    if (coherent) out.costs.coherent = *coherent;
+    if (advisable) out.costs.advisable = *advisable;
+  }
+};
+
+/// Parse one registration key (a hook, a yes/no fact, `write_policy` or
+/// `barrier_rounds`) into `f`; errors are reported on `line`.
+bool parse_fact(std::string_view key, std::string_view value, int line,
+                Facts& f, ConfigError* err) {
+  if (key == "write_policy") {
+    auto it = kWritePolicies.find(value);
+    if (it == kWritePolicies.end())
+      return fail(err, line,
+                  "unknown write_policy '" + std::string(value) + "'");
+    f.write_policy = it->second;
+    return true;
+  }
+  if (key == "barrier_rounds") {
+    std::uint32_t n = 0;
+    for (const char c : value) {
+      if (!std::isdigit(static_cast<unsigned char>(c)))
+        return fail(err, line, "expected an integer for key 'barrier_rounds'");
+      n = n * 10 + static_cast<std::uint32_t>(c - '0');
+    }
+    if (n == 0) return fail(err, line, "barrier_rounds must be at least 1");
+    f.barrier_rounds = n;
+    return true;
+  }
+  // Every remaining key takes yes/no.
+  if (value != "yes" && value != "no")
+    return fail(err, line,
+                "expected yes/no for key '" + std::string(key) + "'");
+  const bool on = (value == "yes");
+  if (key == "optimizable") {
+    f.optimizable = on;
+  } else if (key == "merge_rw") {
+    f.merge_rw = on;
+  } else if (key == "remote_writes") {
+    f.remote_writes = on;
+  } else if (key == "coherent") {
+    f.coherent = on;
+  } else if (key == "advisable") {
+    f.advisable = on;
+  } else {
+    auto it = kHookKeys.find(key);
+    if (it == kHookKeys.end())
+      return fail(err, line, "unknown key '" + std::string(key) + "'");
+    // A block that names any hook names its whole hook set.
+    f.hooks = f.hooks.value_or(0) | (on ? it->second : 0);
+  }
+  return true;
+}
+
+/// Parse a `protocol Name { <registration keys> }` form.  Hooks not named
+/// are null and the protocol is not optimizable unless it says so.
 bool parse_protocol(Lexer& lx, ProtocolInfo* out, ConfigError* err) {
   const std::string_view name = lx.next();
   if (name.empty()) return fail(err, lx.line, "expected protocol name");
+  if (lx.next() != "{") return fail(err, lx.line, "expected '{'");
+  Facts decl;
+  std::string_view key, value;
+  while (true) {
+    if (!next_entry(lx, "protocol", key, value, err)) return false;
+    if (key == "}") break;
+    if (!parse_fact(key, value, lx.line, decl, err)) return false;
+  }
+  *out = ProtocolInfo{};
   out->name = std::string(name);
   out->hooks = 0;
-  out->optimizable = false;
-  if (lx.next() != "{") return fail(err, lx.line, "expected '{'");
-  while (true) {
-    const std::string_view key = lx.next();
-    if (key == "}") return true;
-    if (key.empty()) return fail(err, lx.line, "unterminated protocol block");
-    const std::string_view value = lx.next();
-    if (value.empty())
-      return fail(err, lx.line,
-                  "expected a value for key '" + std::string(key) + "'");
-    if (lx.next() != ";") return fail(err, lx.line, "expected ';'");
-    if (key == "write_policy") {
-      auto it = kWritePolicies.find(value);
-      if (it == kWritePolicies.end())
-        return fail(err, lx.line,
-                    "unknown write_policy '" + std::string(value) + "'");
-      out->costs.write_policy = it->second;
-      continue;
-    }
-    if (key == "barrier_rounds") {
-      std::uint32_t n = 0;
-      for (const char c : value) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-          return fail(err, lx.line,
-                      "expected an integer for key 'barrier_rounds'");
-        n = n * 10 + static_cast<std::uint32_t>(c - '0');
-      }
-      if (n == 0)
-        return fail(err, lx.line, "barrier_rounds must be at least 1");
-      out->costs.barrier_rounds = n;
-      continue;
-    }
-    // Every remaining key takes yes/no.
-    if (value != "yes" && value != "no")
-      return fail(err, lx.line,
-                  "expected yes/no for key '" + std::string(key) + "'");
-    const bool on = (value == "yes");
-    if (key == "optimizable") {
-      out->optimizable = on;
-    } else if (key == "merge_rw") {
-      out->merge_rw = on;
-    } else if (key == "remote_writes") {
-      out->costs.remote_writes = on;
-    } else if (key == "coherent") {
-      out->costs.coherent = on;
-    } else if (key == "advisable") {
-      out->costs.advisable = on;
-    } else {
-      auto it = kHookKeys.find(key);
-      if (it == kHookKeys.end())
-        return fail(err, lx.line, "unknown key '" + std::string(key) + "'");
-      if (on) out->hooks |= it->second;
-    }
-  }
+  decl.apply(*out);
+  return true;
 }
 
 /// Parse a `stack Name { fetch ...; write ...; order ...; <declared keys> }`
@@ -153,115 +200,37 @@ bool parse_stack(Lexer& lx, ProtocolInfo* out, ConfigError* err) {
 
   StackSpec spec;
   bool have_fetch = false, have_write = false, have_order = false;
-  // Declared registration facts (kept separate: absence means "derive").
-  unsigned decl_hooks = 0;
-  bool any_hook_key = false;
-  bool decl_optimizable = false, have_optimizable = false;
-  bool decl_merge_rw = false, have_merge_rw = false;
-  ProtocolCosts decl_costs;
-  bool have_policy = false, have_rounds = false, have_remote = false,
-       have_coherent = false, have_advisable = false;
+  Facts decl;  // declared registration facts: absence means "derive"
+  std::string_view key, value;
+  // One stage key: `parse` names the block, which may repeat but not change.
+  const auto stage = [&](const char* what, auto parse, auto& slot,
+                         bool& have) {
+    std::remove_reference_t<decltype(slot)> b;
+    if (!parse(std::string(value), b))
+      return fail(err, lx.line, std::string("unknown ") + what + " block '" +
+                                    std::string(value) + "'");
+    if (have && b != slot)
+      return fail(err, lx.line,
+                  std::string("conflicting ") + what + " blocks '" +
+                      to_string(slot) + "' vs '" + std::string(value) + "'");
+    slot = b;
+    have = true;
+    return true;
+  };
 
   while (true) {
-    const std::string_view key = lx.next();
+    if (!next_entry(lx, "stack", key, value, err)) return false;
     if (key == "}") break;
-    if (key.empty()) return fail(err, lx.line, "unterminated stack block");
-    const std::string_view value = lx.next();
-    if (value.empty())
-      return fail(err, lx.line,
-                  "expected a value for key '" + std::string(key) + "'");
-    if (lx.next() != ";") return fail(err, lx.line, "expected ';'");
-    if (key == "fetch") {
-      FetchBlock b;
-      if (!parse_fetch_block(std::string(value), b))
-        return fail(err, lx.line,
-                    "unknown fetch block '" + std::string(value) + "'");
-      if (have_fetch && b != spec.fetch)
-        return fail(err, lx.line,
-                    "conflicting fetch blocks '" +
-                        std::string(to_string(spec.fetch)) + "' vs '" +
-                        std::string(value) + "'");
-      spec.fetch = b;
-      have_fetch = true;
-      continue;
-    }
-    if (key == "write") {
-      WriteBlock b;
-      if (!parse_write_block(std::string(value), b))
-        return fail(err, lx.line,
-                    "unknown write block '" + std::string(value) + "'");
-      if (have_write && b != spec.write)
-        return fail(err, lx.line,
-                    "conflicting write blocks '" +
-                        std::string(to_string(spec.write)) + "' vs '" +
-                        std::string(value) + "'");
-      spec.write = b;
-      have_write = true;
-      continue;
-    }
-    if (key == "order") {
-      OrderBlock b;
-      if (!parse_order_block(std::string(value), b))
-        return fail(err, lx.line,
-                    "unknown order block '" + std::string(value) + "'");
-      if (have_order && b != spec.order)
-        return fail(err, lx.line,
-                    "conflicting order blocks '" +
-                        std::string(to_string(spec.order)) + "' vs '" +
-                        std::string(value) + "'");
-      spec.order = b;
-      have_order = true;
-      continue;
-    }
-    if (key == "write_policy") {
-      auto it = kWritePolicies.find(value);
-      if (it == kWritePolicies.end())
-        return fail(err, lx.line,
-                    "unknown write_policy '" + std::string(value) + "'");
-      decl_costs.write_policy = it->second;
-      have_policy = true;
-      continue;
-    }
-    if (key == "barrier_rounds") {
-      std::uint32_t n = 0;
-      for (const char c : value) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-          return fail(err, lx.line,
-                      "expected an integer for key 'barrier_rounds'");
-        n = n * 10 + static_cast<std::uint32_t>(c - '0');
-      }
-      if (n == 0)
-        return fail(err, lx.line, "barrier_rounds must be at least 1");
-      decl_costs.barrier_rounds = n;
-      have_rounds = true;
-      continue;
-    }
-    if (value != "yes" && value != "no")
-      return fail(err, lx.line,
-                  "expected yes/no for key '" + std::string(key) + "'");
-    const bool on = (value == "yes");
-    if (key == "optimizable") {
-      decl_optimizable = on;
-      have_optimizable = true;
-    } else if (key == "merge_rw") {
-      decl_merge_rw = on;
-      have_merge_rw = true;
-    } else if (key == "remote_writes") {
-      decl_costs.remote_writes = on;
-      have_remote = true;
-    } else if (key == "coherent") {
-      decl_costs.coherent = on;
-      have_coherent = true;
-    } else if (key == "advisable") {
-      decl_costs.advisable = on;
-      have_advisable = true;
-    } else {
-      auto it = kHookKeys.find(key);
-      if (it == kHookKeys.end())
-        return fail(err, lx.line, "unknown key '" + std::string(key) + "'");
-      any_hook_key = true;
-      if (on) decl_hooks |= it->second;
-    }
+    bool ok;
+    if (key == "fetch")
+      ok = stage("fetch", parse_fetch_block, spec.fetch, have_fetch);
+    else if (key == "write")
+      ok = stage("write", parse_write_block, spec.write, have_write);
+    else if (key == "order")
+      ok = stage("order", parse_order_block, spec.order, have_order);
+    else
+      ok = parse_fact(key, value, lx.line, decl, err);
+    if (!ok) return false;
   }
 
   if (!have_fetch)
@@ -280,14 +249,7 @@ bool parse_stack(Lexer& lx, ProtocolInfo* out, ConfigError* err) {
   // Declared facts win over derived ones in the parse result — mismatches
   // are for the registry's cross-check and acelint AL05 to catch, not for
   // the parser to silently repair.
-  if (any_hook_key) out->hooks = decl_hooks;
-  if (have_optimizable) out->optimizable = decl_optimizable;
-  if (have_merge_rw) out->merge_rw = decl_merge_rw;
-  if (have_policy) out->costs.write_policy = decl_costs.write_policy;
-  if (have_rounds) out->costs.barrier_rounds = decl_costs.barrier_rounds;
-  if (have_remote) out->costs.remote_writes = decl_costs.remote_writes;
-  if (have_coherent) out->costs.coherent = decl_costs.coherent;
-  if (have_advisable) out->costs.advisable = decl_costs.advisable;
+  decl.apply(*out);
   return true;
 }
 

@@ -173,6 +173,22 @@ struct ProtocolInfo {
   StackSpec stack;
 };
 
+/// Which access episodes RuntimeProc::*_direct keep a nesting count for:
+/// those whose opening and closing hooks are both non-null, since the
+/// direct-call pass deletes null ones.  Under merge_rw a read may close
+/// with END_WRITE, so then all four hooks must be non-null.
+struct DirectNesting {
+  bool reads = false;
+  bool writes = false;
+
+  static DirectNesting of(const ProtocolInfo& info) {
+    const unsigned h = info.hooks;
+    const bool r = (h & kHookStartRead) && (h & kHookEndRead);
+    const bool w = (h & kHookStartWrite) && (h & kHookEndWrite);
+    return info.merge_rw ? DirectNesting{r && w, r && w} : DirectNesting{r, w};
+  }
+};
+
 class Protocol;
 
 /// Resolved per-hook entry points — the runtime's *dynamic* analogue of the

@@ -454,21 +454,26 @@ void RuntimeProc::end_write(void* mapped) {
   proc_.trace(obs::EventKind::kEndWrite, t0, r.space(), r.id());
 }
 
+// The direct entries skip the dispatch and the poll, not the bookkeeping;
+// they keep the nesting count for the episodes DirectNesting names.
+
 void RuntimeProc::start_read_direct(Region& r, Protocol& proto) {
   const std::uint64_t t0 = proc_.vclock_ns();
   dstats(r.space()).start_reads += 1;
   proc_.charge(cost().direct_call_ns + cost().op_hit_ns);
   proto.start_read(r);
-  r.active_readers += 1;
+  if (space(r.space()).nesting().reads) r.active_readers += 1;
   proc_.trace(obs::EventKind::kStartRead, t0, r.space(), r.id());
   if (SpaceObserver* o = observer(r.space())) o->on_read(r);
 }
 
 void RuntimeProc::end_read_direct(Region& r, Protocol& proto) {
-  ACE_CHECK_MSG(r.active_readers > 0, "direct END_READ without start");
+  const bool counted = space(r.space()).nesting().reads;
+  ACE_CHECK_MSG(!counted || r.active_readers > 0,
+                "direct END_READ without start");
   const std::uint64_t t0 = proc_.vclock_ns();
   proc_.charge(cost().direct_call_ns + cost().op_hit_ns);
-  r.active_readers -= 1;
+  if (counted) r.active_readers -= 1;
   proto.end_read(r);
   proc_.trace(obs::EventKind::kEndRead, t0, r.space(), r.id());
 }
@@ -478,16 +483,24 @@ void RuntimeProc::start_write_direct(Region& r, Protocol& proto) {
   dstats(r.space()).start_writes += 1;
   proc_.charge(cost().direct_call_ns + cost().op_hit_ns);
   proto.start_write(r);
-  r.active_writers += 1;
+  if (space(r.space()).nesting().writes) r.active_writers += 1;
   proc_.trace(obs::EventKind::kStartWrite, t0, r.space(), r.id());
   if (SpaceObserver* o = observer(r.space())) o->on_write(r);
 }
 
 void RuntimeProc::end_write_direct(Region& r, Protocol& proto) {
-  ACE_CHECK_MSG(r.active_writers > 0, "direct END_WRITE without start");
+  const bool counted = space(r.space()).nesting().writes;
+  // As in end_write, a read episode escalated by merge_rw closes here.
+  ACE_CHECK_MSG(!counted || r.active_writers > 0 || r.active_readers > 0,
+                "direct END_WRITE without start");
   const std::uint64_t t0 = proc_.vclock_ns();
   proc_.charge(cost().direct_call_ns + cost().op_hit_ns);
-  r.active_writers -= 1;
+  if (counted) {
+    if (r.active_writers > 0)
+      r.active_writers -= 1;
+    else
+      r.active_readers -= 1;
+  }
   proto.end_write(r);
   proc_.trace(obs::EventKind::kEndWrite, t0, r.space(), r.id());
 }

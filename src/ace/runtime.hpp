@@ -43,7 +43,8 @@ class Space {
       : id_(id),
         proto_name_(std::move(proto_name)),
         proto_(std::move(proto)),
-        thunks_(proto_->hook_thunks()) {}
+        thunks_(proto_->hook_thunks()),
+        nesting_(DirectNesting::of(proto_->info())) {}
 
   SpaceId id() const { return id_; }
   const std::string& protocol_name() const { return proto_name_; }
@@ -53,11 +54,15 @@ class Space {
   /// cache; see HookThunks).  Rebuilt by set_protocol — the only
   /// invalidation point a space needs.
   const HookThunks& thunks() const { return thunks_; }
+  /// Which episodes the direct-call entries count for the installed
+  /// protocol; rebuilt with the thunks.
+  DirectNesting nesting() const { return nesting_; }
 
   void set_protocol(std::string name, std::unique_ptr<Protocol> p) {
     proto_name_ = std::move(name);
     proto_ = std::move(p);
     thunks_ = proto_->hook_thunks();
+    nesting_ = DirectNesting::of(proto_->info());
   }
 
  private:
@@ -65,6 +70,7 @@ class Space {
   std::string proto_name_;
   std::unique_ptr<Protocol> proto_;
   HookThunks thunks_;
+  DirectNesting nesting_;
 };
 
 class Runtime;

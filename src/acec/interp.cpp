@@ -37,12 +37,19 @@ ExecStats execute(const Function& f, RuntimeProc& rp, const KernelArgs& args) {
     }
   }
 
-  auto direct_protocol = [&](void* ptr) -> std::pair<Region*, Protocol*> {
-    Region* r = Region::from_data(ptr);
-    return {r, &rp.space(r->space()).protocol()};
+  // One start/end annotation.  A direct call (§4.2) names the region's
+  // protocol itself; the runtime's *_direct entry charges, counts and
+  // traces it like the dispatched one.
+  auto annotation = [&](const Inst& inst,
+                        void (RuntimeProc::*dispatched)(void*),
+                        void (RuntimeProc::*direct)(Region&, Protocol&)) {
+    stats.protocol_calls += 1;
+    void* ptr = v[inst.a].p;
+    if (!inst.direct) return (rp.*dispatched)(ptr);
+    Region& r = rp.region_of(ptr);
+    (rp.*direct)(r, rp.space(r.space()).protocol());
   };
 
-  const auto& cost = rp.cost();
   for (std::size_t pc = 0; pc < f.code.size(); ++pc) {
     const Inst& inst = f.code[pc];
     stats.insts += 1;
@@ -89,49 +96,19 @@ ExecStats execute(const Function& f, RuntimeProc& rp, const KernelArgs& args) {
         v[inst.dst].p = rp.map(static_cast<RegionId>(v[inst.a].i));
         break;
       case Op::kStartRead:
-        stats.protocol_calls += 1;
-        if (inst.direct) {
-          auto [r, proto] = direct_protocol(v[inst.a].p);
-          rp.proc().charge(cost.direct_call_ns + cost.op_hit_ns);
-          proto->start_read(*r);
-          r->active_readers += 1;
-        } else {
-          rp.start_read(v[inst.a].p);
-        }
+        annotation(inst, &RuntimeProc::start_read,
+                   &RuntimeProc::start_read_direct);
         break;
       case Op::kEndRead:
-        stats.protocol_calls += 1;
-        if (inst.direct) {
-          auto [r, proto] = direct_protocol(v[inst.a].p);
-          rp.proc().charge(cost.direct_call_ns + cost.op_hit_ns);
-          // A deleted (null) start leaves no nesting record; saturate.
-          if (r->active_readers > 0) r->active_readers -= 1;
-          proto->end_read(*r);
-        } else {
-          rp.end_read(v[inst.a].p);
-        }
+        annotation(inst, &RuntimeProc::end_read, &RuntimeProc::end_read_direct);
         break;
       case Op::kStartWrite:
-        stats.protocol_calls += 1;
-        if (inst.direct) {
-          auto [r, proto] = direct_protocol(v[inst.a].p);
-          rp.proc().charge(cost.direct_call_ns + cost.op_hit_ns);
-          proto->start_write(*r);
-          r->active_writers += 1;
-        } else {
-          rp.start_write(v[inst.a].p);
-        }
+        annotation(inst, &RuntimeProc::start_write,
+                   &RuntimeProc::start_write_direct);
         break;
       case Op::kEndWrite:
-        stats.protocol_calls += 1;
-        if (inst.direct) {
-          auto [r, proto] = direct_protocol(v[inst.a].p);
-          rp.proc().charge(cost.direct_call_ns + cost.op_hit_ns);
-          if (r->active_writers > 0) r->active_writers -= 1;
-          proto->end_write(*r);
-        } else {
-          rp.end_write(v[inst.a].p);
-        }
+        annotation(inst, &RuntimeProc::end_write,
+                   &RuntimeProc::end_write_direct);
         break;
       case Op::kLoadPtr:
         v[inst.dst].f = static_cast<double*>(v[inst.a].p)[v[inst.b].i];
@@ -187,7 +164,7 @@ ExecStats execute(const Function& f, RuntimeProc& rp, const KernelArgs& args) {
         break;
       }
       case Op::kCharge:
-        rp.proc().charge(static_cast<std::uint64_t>(inst.imm));
+        rp.charge_compute(static_cast<std::uint64_t>(inst.imm));
         break;
     }
   }

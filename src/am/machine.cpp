@@ -682,10 +682,9 @@ void Machine::write_deadlock_report(std::ostream& os, const Proc& stuck,
        << " barrier_epoch=" << p->barrier_epoch_
        << " release_epoch=" << p->release_epoch_;
     if (p->id_ == 0) os << " arrivals=" << p->arrivals_;
-    os << " sent=" << p->stats_.msgs_sent
-       << " received=" << p->stats_.msgs_received
-       << " polls=" << p->stats_.polls << " sweeps=" << p->stats_.sweeps
-       << " sleeps=" << p->stats_.sleeps << "\n";
+    for (const auto& [name, field] : kStatsFields)
+      os << " " << name << "=" << p->stats_.*field;
+    os << "\n";
     {
       std::lock_guard lk(p->mail_mu_);
       for (const Message& m : p->mailbox_) {

@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
+#include <utility>
 
 namespace ace::am {
 
@@ -57,15 +59,26 @@ struct Stats {
   std::uint64_t sleeps = 0;  ///< blocking sleeps entered (cv or poll(2))
   std::uint64_t barriers = 0;
 
-  void merge(const Stats& o) {
-    msgs_sent += o.msgs_sent;
-    msgs_received += o.msgs_received;
-    bytes_sent += o.bytes_sent;
-    polls += o.polls;
-    sweeps += o.sweeps;
-    sleeps += o.sleeps;
-    barriers += o.barriers;
-  }
+  void merge(const Stats& o);
 };
+
+/// Every Stats field with its name, in declaration order: the one list
+/// that merge, the BENCH writer and the deadlock report iterate.  The
+/// static_assert makes a new counter a compile error until it is listed.
+inline constexpr std::pair<const char*, std::uint64_t Stats::*>
+    kStatsFields[] = {
+        {"msgs_sent", &Stats::msgs_sent},
+        {"msgs_received", &Stats::msgs_received},
+        {"bytes_sent", &Stats::bytes_sent},
+        {"polls", &Stats::polls},
+        {"sweeps", &Stats::sweeps},
+        {"sleeps", &Stats::sleeps},
+        {"barriers", &Stats::barriers},
+};
+static_assert(sizeof(Stats) == std::size(kStatsFields) * sizeof(std::uint64_t));
+
+inline void Stats::merge(const Stats& o) {
+  for (const auto& [name, field] : kStatsFields) this->*field += o.*field;
+}
 
 }  // namespace ace::am

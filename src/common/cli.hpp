@@ -25,14 +25,15 @@ class Cli {
         std::exit(2);
       }
       arg.remove_prefix(2);
+      std::string_view value = "1";  // bare flag => boolean true
       const auto eq = arg.find('=');
       if (eq != std::string_view::npos) {
-        values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
+        value = arg.substr(eq + 1);
+        arg = arg.substr(0, eq);
       } else if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[std::string(arg)] = argv[++i];
-      } else {
-        values_[std::string(arg)] = "1";  // bare flag => boolean true
+        value = argv[++i];
       }
+      values_.insert_or_assign(std::string(arg), std::string(value));
     }
   }
 

@@ -323,7 +323,7 @@ void Model::do_acquire(State& st, int p, std::string* desc) const {
   // writes and survive — dropping them would lose the writes.  Purely
   // local: zero messages, which is the whole point of self-invalidation.
   ACE_CHECK(spec_.order == OrderBlock::kSelfInvalidate);
-  line(desc, "P" + std::to_string(p) + ": acquire");
+  line(desc, 'P' + std::to_string(p) + ": acquire");
   for (int r = 0; r < lit_.nregions; ++r) {
     Copy& c = st.copy[p][r];
     if (lit_.home[r] != p && c.st == 1) {
@@ -344,7 +344,7 @@ void Model::do_release(State& st, int p, std::string* desc) const {
   // where the flag overtakes the data.
   ACE_CHECK(spec_.order == OrderBlock::kSelfInvalidate);
   ProcState& ps = st.procs[p];
-  line(desc, "P" + std::to_string(p) + ": release");
+  line(desc, 'P' + std::to_string(p) + ": release");
   for (int r = 0; r < lit_.nregions; ++r) {
     Copy& c = st.copy[p][r];
     if (lit_.home[r] != p && c.st == 2) {

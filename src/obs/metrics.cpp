@@ -1,30 +1,6 @@
 #include "obs/metrics.hpp"
 
-namespace ace {
-
-void DsmStats::merge(const DsmStats& o) {
-  gmallocs += o.gmallocs;
-  maps += o.maps;
-  map_meta_misses += o.map_meta_misses;
-  unmaps += o.unmaps;
-  start_reads += o.start_reads;
-  read_misses += o.read_misses;
-  start_writes += o.start_writes;
-  write_misses += o.write_misses;
-  barriers += o.barriers;
-  locks += o.locks;
-  unlocks += o.unlocks;
-  invalidations += o.invalidations;
-  recalls += o.recalls;
-  updates += o.updates;
-  fetches += o.fetches;
-  flushes += o.flushes;
-  acquires += o.acquires;
-  releases += o.releases;
-  writebacks += o.writebacks;
-}
-
-namespace obs {
+namespace ace::obs {
 
 std::vector<SpaceMetrics> merge_by_key(const std::vector<SpaceMetrics>& segs) {
   std::vector<SpaceMetrics> out;
@@ -44,5 +20,4 @@ std::vector<SpaceMetrics> merge_by_key(const std::vector<SpaceMetrics>& segs) {
   return out;
 }
 
-}  // namespace obs
-}  // namespace ace
+}  // namespace ace::obs

@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ace {
@@ -51,6 +53,38 @@ struct DsmStats {
   void merge(const DsmStats& o);
   bool operator==(const DsmStats&) const = default;
 };
+
+/// Every DsmStats field with its name, in declaration order: the one list
+/// that merge, the BENCH writer and the tests iterate.  The static_assert
+/// makes a new counter a compile error until it is listed here.
+inline constexpr std::pair<const char*, std::uint64_t DsmStats::*>
+    kDsmFields[] = {
+        {"gmallocs", &DsmStats::gmallocs},
+        {"maps", &DsmStats::maps},
+        {"map_meta_misses", &DsmStats::map_meta_misses},
+        {"unmaps", &DsmStats::unmaps},
+        {"start_reads", &DsmStats::start_reads},
+        {"read_misses", &DsmStats::read_misses},
+        {"start_writes", &DsmStats::start_writes},
+        {"write_misses", &DsmStats::write_misses},
+        {"barriers", &DsmStats::barriers},
+        {"locks", &DsmStats::locks},
+        {"unlocks", &DsmStats::unlocks},
+        {"invalidations", &DsmStats::invalidations},
+        {"recalls", &DsmStats::recalls},
+        {"updates", &DsmStats::updates},
+        {"fetches", &DsmStats::fetches},
+        {"flushes", &DsmStats::flushes},
+        {"acquires", &DsmStats::acquires},
+        {"releases", &DsmStats::releases},
+        {"writebacks", &DsmStats::writebacks},
+};
+static_assert(sizeof(DsmStats) ==
+              std::size(kDsmFields) * sizeof(std::uint64_t));
+
+inline void DsmStats::merge(const DsmStats& o) {
+  for (const auto& [name, field] : kDsmFields) this->*field += o.*field;
+}
 
 namespace obs {
 

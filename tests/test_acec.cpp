@@ -24,6 +24,10 @@ const Registry& reg() {
 // Builder helpers for small test programs.
 struct TB {
   Function f;
+  /// `spaces[t]` is the space of region table t.
+  explicit TB(std::vector<SpaceId> spaces = {}) {
+    f.table_space = std::move(spaces);
+  }
   std::int32_t ci(std::int64_t v) {
     const auto r = f.reg();
     f.emit({.op = Op::kConstI, .dst = r, .imm = v});
@@ -61,8 +65,7 @@ struct TB {
 // --- annotator ---------------------------------------------------------------
 
 TEST(Annotate, LoadExpandsToFigure5Sequence) {
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto i = b.ci(0);
   b.load(r, i);
@@ -79,8 +82,7 @@ TEST(Annotate, LoadExpandsToFigure5Sequence) {
 }
 
 TEST(Annotate, StoreExpandsToWriteSequence) {
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto i = b.ci(0);
   const auto v = b.cf(1.5);
@@ -94,7 +96,6 @@ TEST(Annotate, StoreExpandsToWriteSequence) {
 
 TEST(Annotate, PassesThroughOtherOps) {
   TB b;
-  b.f.table_space = {};
   const auto n = b.ci(5);
   b.loop(n);
   b.loop_end();
@@ -106,8 +107,7 @@ TEST(Annotate, PassesThroughOtherOps) {
 // --- analysis ----------------------------------------------------------------
 
 TEST(Analysis, TracksTableSpaceProtocols) {
-  TB b;
-  b.f.table_space = {3};
+  TB b({3});
   const auto r = b.region(0, 0);
   const auto i = b.ci(0);
   b.load(r, i);
@@ -126,8 +126,7 @@ TEST(Analysis, TracksTableSpaceProtocols) {
 }
 
 TEST(Analysis, SCIsNotOptimizable) {
-  TB b;
-  b.f.table_space = {0};
+  TB b({0});
   const auto r = b.region(0, 0);
   const auto i = b.ci(0);
   b.load(r, i);
@@ -142,8 +141,7 @@ TEST(Analysis, SCIsNotOptimizable) {
 
 TEST(Analysis, ChangeProtocolStrongUpdate) {
   // Access before the change sees the old protocol; after, the new one.
-  TB b;
-  b.f.table_space = {2};
+  TB b({2});
   const auto r = b.region(0, 0);
   const auto i = b.ci(0);
   b.load(r, i);  // under SC
@@ -164,8 +162,7 @@ TEST(Analysis, ChangeProtocolStrongUpdate) {
 TEST(Analysis, ChangeProtocolInLoopMergesSets) {
   // A change inside a loop makes both protocols possible at the access on
   // later iterations (back-edge merge).
-  TB b;
-  b.f.table_space = {2};
+  TB b({2});
   const auto r = b.region(0, 0);
   const auto i = b.ci(0);
   const auto n = b.ci(4);
@@ -188,7 +185,6 @@ TEST(Analysis, ChangeProtocolInLoopMergesSets) {
 
 TEST(Analysis, NewSpaceAndGMallocTracked) {
   TB b;
-  b.f.table_space = {};
   const auto sp = b.f.reg();
   b.f.emit({.op = Op::kNewSpace,
             .dst = sp,
@@ -216,8 +212,7 @@ Function li(const Function& f,
 }
 
 TEST(LoopInvariance, HoistsInvariantMapAndPair) {
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto n = b.ci(10);
   const auto i = b.loop(n);
@@ -246,8 +241,7 @@ TEST(LoopInvariance, HoistsInvariantMapAndPair) {
 }
 
 TEST(LoopInvariance, DoesNotHoistNonOptimizable) {
-  TB b;
-  b.f.table_space = {0};
+  TB b({0});
   const auto r = b.region(0, 0);
   const auto n = b.ci(10);
   const auto i = b.loop(n);
@@ -262,8 +256,7 @@ TEST(LoopInvariance, DoesNotHoistNonOptimizable) {
 
 TEST(LoopInvariance, DoesNotHoistVariantMap) {
   // Region chosen by the induction variable: nothing to hoist.
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto n = b.ci(4);
   const auto i = b.loop(n);
   const auto rg = b.f.reg();
@@ -278,8 +271,7 @@ TEST(LoopInvariance, DoesNotHoistVariantMap) {
 }
 
 TEST(LoopInvariance, NeverMovesPastBarrier) {
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto n = b.ci(4);
   const auto i = b.loop(n);
@@ -294,8 +286,7 @@ TEST(LoopInvariance, NeverMovesPastBarrier) {
 }
 
 TEST(LoopInvariance, HoistsOutOfNestedLoops) {
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto n = b.ci(3);
   b.loop(n);
@@ -326,8 +317,7 @@ Function mc(const Function& f,
 
 TEST(MergeCalls, MergesRedundantMapsAndPairs) {
   // Two loads of the same region in a straight line (Figure 6's pattern).
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto z = b.ci(0);
   const auto o = b.ci(1);
@@ -343,8 +333,7 @@ TEST(MergeCalls, MergesRedundantMapsAndPairs) {
 }
 
 TEST(MergeCalls, DoesNotMergeAcrossBarrier) {
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto z = b.ci(0);
   b.load(r, z);
@@ -360,8 +349,7 @@ TEST(MergeCalls, DoesNotMergeAcrossBarrier) {
 TEST(MergeCalls, DoesNotMergeReadWithWriteByDefault) {
   // Footnote 1 of §4.2: read/write merging needs the protocol's opt-in;
   // DynamicUpdate does not declare merge_rw.
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto z = b.ci(0);
   const auto v = b.load(r, z);
@@ -377,8 +365,7 @@ TEST(MergeCalls, DoesNotMergeReadWithWriteByDefault) {
 TEST(MergeCalls, MergesReadIntoWriteWhenProtocolAllows) {
   // HomeWrite declares merge_rw: the read episode escalates into the write
   // (END_READ + START_WRITE dropped; the closing END_WRITE survives).
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto z = b.ci(0);
   const auto v = b.load(r, z);
@@ -395,8 +382,7 @@ TEST(MergeCalls, MergesReadIntoWriteWhenProtocolAllows) {
 
 TEST(MergeCalls, DoesNotEscalateWriteIntoRead) {
   // Only the read->write direction merges: the write's END must run.
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto z = b.ci(0);
   const auto v = b.cf(2.0);
@@ -411,8 +397,7 @@ TEST(MergeCalls, DoesNotEscalateWriteIntoRead) {
 }
 
 TEST(MergeCalls, SkipsNonOptimizableProtocols) {
-  TB b;
-  b.f.table_space = {0};
+  TB b({0});
   const auto r = b.region(0, 0);
   const auto z = b.ci(0);
   b.load(r, z);
@@ -427,8 +412,7 @@ TEST(MergeCalls, SkipsNonOptimizableProtocols) {
 // --- direct calls ----------------------------------------------------------------
 
 TEST(DirectCalls, DevirtualizesSingletonAndRemovesNull) {
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto z = b.ci(0);
   b.load(r, z);  // HomeWrite: start_read present, end_read null
@@ -447,8 +431,7 @@ TEST(DirectCalls, DevirtualizesSingletonAndRemovesNull) {
 }
 
 TEST(DirectCalls, LeavesNonSingletonAlone) {
-  TB b;
-  b.f.table_space = {1};
+  TB b({1});
   const auto r = b.region(0, 0);
   const auto z = b.ci(0);
   b.load(r, z);
@@ -469,8 +452,7 @@ TEST(DirectCalls, LeavesNonSingletonAlone) {
 
 TEST(Interp, ExecutesArithmeticAndLoops) {
   // sum of i*2 for i in [0,10) = 90, written to a region.
-  TB b;
-  b.f.table_space = {0};
+  TB b({0});
   const auto r = b.region(0, 0);
   const auto n = b.ci(10);
   const auto two = b.cf(2.0);
@@ -509,7 +491,6 @@ TEST(Interp, ExecutesArithmeticAndLoops) {
 
 TEST(Interp, ZeroTripLoopSkipsBody) {
   TB b;
-  b.f.table_space = {};
   const auto n = b.ci(0);
   b.loop(n);
   b.f.emit({.op = Op::kCharge, .imm = 1'000'000});
@@ -523,6 +504,48 @@ TEST(Interp, ZeroTripLoopSkipsBody) {
     execute(f, rp, {});
     EXPECT_EQ(rp.proc().vclock_ns(), t0);  // body never ran
   });
+}
+
+// --- direct calls keep the runtime's books on every kernel -----------------------
+
+// At DC the kernels reach their protocols through RuntimeProc's *_direct
+// entries.  Every episode a direct call opens must be closed again, so that
+// Ace_ChangeProtocol can quiesce the kernel's spaces after the body, and
+// every START_READ must be counted as at MC, where all of them dispatch.
+TEST(DirectCalls, KernelsCloseEveryEpisodeAndCountEveryRead) {
+  constexpr std::uint32_t kProcs = 4;
+  for (const KernelCase& kc : table4_cases(1)) {
+    const Compiled c = compile(kc.program, kc.space_protocols, reg());
+    const auto run = [&kc](const Function& f) {
+      return bench::run_ace(
+          kProcs,
+          [&kc](apps::AceApi& api) { return kc.setup(api.runtime_proc()); },
+          [&kc, &f](apps::AceApi& api, const KernelArgs& args) {
+            RuntimeProc& rp = api.runtime_proc();
+            execute(f, rp, args);
+            rp.proc().barrier();
+            std::uint64_t open = 0;
+            rp.regions().for_each([&open](Region& r) {
+              open += r.active_readers + r.active_writers;
+            });
+            EXPECT_EQ(open, 0u) << kc.name << " on rank " << rp.me();
+            rp.allreduce_u64(&open, 1, RuntimeProc::ReduceOp::kSum);
+            if (open == 0)  // else ChangeProtocol would abort
+              for (const auto& [space, protocols] : kc.space_protocols)
+                rp.change_protocol(space, proto_names::kSC);
+          },
+          {});
+    };
+    const bench::RunResult mc = run(c.stages[2].f);
+    const bench::RunResult dc = run(c.dc());
+    ASSERT_EQ(dc.spaces.size(), mc.spaces.size()) << kc.name;
+    for (std::size_t i = 0; i < dc.spaces.size(); ++i) {
+      EXPECT_EQ(dc.spaces[i].protocol, mc.spaces[i].protocol) << kc.name;
+      EXPECT_EQ(dc.spaces[i].dsm.start_reads, mc.spaces[i].dsm.start_reads)
+          << kc.name << " space " << dc.spaces[i].space << " ("
+          << dc.spaces[i].protocol << ")";
+    }
+  }
 }
 
 // --- end-to-end: all optimization levels agree on all kernels -------------------

@@ -16,6 +16,9 @@ namespace {
 
 using namespace ace;
 
+/// A legal stack header: every registration key may follow it.
+const std::string kStack = "stack S { fetch none; write local; order plain; ";
+
 TEST(Config, ParsesMinimalProtocol) {
   ConfigError err;
   const auto infos = parse_config(
@@ -59,6 +62,8 @@ TEST(Config, UnknownKeyIsError) {
       parse_config("protocol P { start_reed yes; }", &err);
   EXPECT_TRUE(infos.empty());
   EXPECT_NE(err.message.find("unknown key"), std::string::npos);
+  EXPECT_TRUE(parse_config(kStack + "start_reed yes; }", &err).empty());
+  EXPECT_NE(err.message.find("unknown key 'start_reed'"), std::string::npos);
 }
 
 TEST(Config, MissingSemicolonIsError) {
@@ -70,6 +75,8 @@ TEST(Config, BadBooleanIsError) {
   ConfigError err;
   EXPECT_TRUE(parse_config("protocol P { barrier maybe; }", &err).empty());
   EXPECT_NE(err.message.find("yes/no"), std::string::npos);
+  EXPECT_TRUE(parse_config(kStack + "coherent maybe; }", &err).empty());
+  EXPECT_NE(err.message.find("yes/no for key 'coherent'"), std::string::npos);
 }
 
 TEST(Config, DuplicateProtocolIsError) {
@@ -135,6 +142,11 @@ TEST(Config, BadWritePolicyIsErrorWithLine) {
   EXPECT_NE(err.message.find("unknown write_policy 'sideways'"),
             std::string::npos);
   EXPECT_EQ(err.line, 2);
+  EXPECT_TRUE(parse_config(kStack + "\n  write_policy sideways;\n}", &err)
+                  .empty());
+  EXPECT_NE(err.message.find("unknown write_policy 'sideways'"),
+            std::string::npos);
+  EXPECT_EQ(err.line, 2);
 }
 
 TEST(Config, BadBarrierRoundsIsError) {
@@ -144,6 +156,10 @@ TEST(Config, BadBarrierRoundsIsError) {
   EXPECT_NE(err.message.find("integer"), std::string::npos);
   EXPECT_TRUE(
       parse_config("protocol P { barrier_rounds 0; }", &err).empty());
+  EXPECT_NE(err.message.find("at least 1"), std::string::npos);
+  EXPECT_TRUE(parse_config(kStack + "barrier_rounds many; }", &err).empty());
+  EXPECT_NE(err.message.find("integer"), std::string::npos);
+  EXPECT_TRUE(parse_config(kStack + "barrier_rounds 0; }", &err).empty());
   EXPECT_NE(err.message.find("at least 1"), std::string::npos);
 }
 

@@ -299,13 +299,8 @@ TEST(Obs, SegmentsSumToMachineTotals) {
   const DsmStats total = f.rt.aggregate_dstats();
   DsmStats summed;
   for (const auto& m : f.rt.aggregate_space_metrics()) summed.merge(m.dsm);
-  EXPECT_EQ(summed.start_reads, total.start_reads);
-  EXPECT_EQ(summed.start_writes, total.start_writes);
-  EXPECT_EQ(summed.read_misses, total.read_misses);
-  EXPECT_EQ(summed.write_misses, total.write_misses);
-  EXPECT_EQ(summed.maps, total.maps);
-  EXPECT_EQ(summed.barriers, total.barriers);
-  EXPECT_EQ(summed.updates, total.updates);
+  for (const auto& [name, field] : kDsmFields)
+    EXPECT_EQ(summed.*field, total.*field) << name;
 }
 
 TEST(Obs, MergeByKeyMergesReinstalledProtocol) {
@@ -450,8 +445,8 @@ TEST(Obs, BenchJsonIsWellFormedAndCarriesSpaces) {
   bench::RunResult res;
   res.modeled_s = 0.125;
   res.wall_s = 0.5;
-  res.msgs = 1000;
-  res.mbytes = 1.5;
+  res.am.msgs_sent = 1000;
+  res.am.bytes_sent = 1'500'000;
   obs::SpaceMetrics m;
   m.space = 1;
   m.protocol = proto_names::kDynamicUpdate;
@@ -469,6 +464,16 @@ TEST(Obs, BenchJsonIsWellFormedAndCarriesSpaces) {
                      "\""),
             std::string::npos);
   EXPECT_NE(doc.find("\"read_misses\":2"), std::string::npos);
+  // `msgs` and `mbytes` stay next to the table keys.
+  EXPECT_NE(doc.find("\"msgs\":1000"), std::string::npos);
+  EXPECT_NE(doc.find("\"mbytes\":1.5"), std::string::npos);
+  // Every counter the runtime keeps reaches the row.
+  for (const auto& [name, field] : am::kStatsFields)
+    EXPECT_NE(doc.find("\"" + std::string(name) + "\":"), std::string::npos)
+        << name;
+  for (const auto& [name, field] : kDsmFields)
+    EXPECT_NE(doc.find("\"" + std::string(name) + "\":"), std::string::npos)
+        << name;
 }
 
 // --- collectives (bcast_region / allreduce_min) ---------------------------

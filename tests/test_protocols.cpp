@@ -630,48 +630,9 @@ EquivOutcome run_protocol_kernel(const std::string& protocol) {
 
 void expect_stats_equal(const DsmStats& a, const DsmStats& b,
                         const std::string& what) {
-  EXPECT_EQ(a.gmallocs, b.gmallocs) << what;
-  EXPECT_EQ(a.maps, b.maps) << what;
-  EXPECT_EQ(a.map_meta_misses, b.map_meta_misses) << what;
-  EXPECT_EQ(a.unmaps, b.unmaps) << what;
-  EXPECT_EQ(a.start_reads, b.start_reads) << what;
-  EXPECT_EQ(a.read_misses, b.read_misses) << what;
-  EXPECT_EQ(a.start_writes, b.start_writes) << what;
-  EXPECT_EQ(a.write_misses, b.write_misses) << what;
-  EXPECT_EQ(a.barriers, b.barriers) << what;
-  EXPECT_EQ(a.locks, b.locks) << what;
-  EXPECT_EQ(a.unlocks, b.unlocks) << what;
-  EXPECT_EQ(a.invalidations, b.invalidations) << what;
-  EXPECT_EQ(a.recalls, b.recalls) << what;
-  EXPECT_EQ(a.updates, b.updates) << what;
-  EXPECT_EQ(a.fetches, b.fetches) << what;
+  for (const auto& [name, field] : kDsmFields)
+    EXPECT_EQ(a.*field, b.*field) << name << ": " << what;
 }
-
-/// Every DsmStats field, in declaration order.  The static_assert makes a
-/// new counter a compile error here until it is listed (and recorded).
-constexpr std::pair<const char*, std::uint64_t DsmStats::*> kDsmFields[] = {
-    {"gmallocs", &DsmStats::gmallocs},
-    {"maps", &DsmStats::maps},
-    {"map_meta_misses", &DsmStats::map_meta_misses},
-    {"unmaps", &DsmStats::unmaps},
-    {"start_reads", &DsmStats::start_reads},
-    {"read_misses", &DsmStats::read_misses},
-    {"start_writes", &DsmStats::start_writes},
-    {"write_misses", &DsmStats::write_misses},
-    {"barriers", &DsmStats::barriers},
-    {"locks", &DsmStats::locks},
-    {"unlocks", &DsmStats::unlocks},
-    {"invalidations", &DsmStats::invalidations},
-    {"recalls", &DsmStats::recalls},
-    {"updates", &DsmStats::updates},
-    {"fetches", &DsmStats::fetches},
-    {"flushes", &DsmStats::flushes},
-    {"acquires", &DsmStats::acquires},
-    {"releases", &DsmStats::releases},
-    {"writebacks", &DsmStats::writebacks},
-};
-static_assert(sizeof(DsmStats) ==
-              std::size(kDsmFields) * sizeof(std::uint64_t));
 
 constexpr const char* kGoldenProtocols[] = {
     proto_names::kSC,           proto_names::kNull,
@@ -920,8 +881,6 @@ TEST_P(SelfInvalidateFamily, ChecksumAndStatsScheduleIndependentUnderChaos) {
     expect_stats_equal(chaotic.stats, clean.stats,
                        std::string(GetParam()) + " seed " +
                            std::to_string(seed));
-    EXPECT_EQ(chaotic.stats.writebacks, clean.stats.writebacks)
-        << "seed " << seed;
   }
 }
 

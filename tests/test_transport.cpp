@@ -314,7 +314,7 @@ TEST(BackendParity, Em3dChecksumMatchesBitForBit) {
   const auto s = bench::run_ace(4, body, proc_opt());
   EXPECT_EQ(bits(t.checksum), bits(s.checksum));
   EXPECT_NE(bits(t.checksum), 0u);
-  EXPECT_EQ(t.msgs, s.msgs);
+  EXPECT_EQ(t.am.msgs_sent, s.am.msgs_sent);
   EXPECT_EQ(s.backend, "proc-socket");
   EXPECT_GT(s.wall_s, 0.0);
 }
@@ -349,7 +349,7 @@ TEST(BackendParity, MigLockChecksumMatchesBitForBitOnBothSiStacks) {
     const auto s = bench::run_ace(4, body, proc_opt());
     EXPECT_EQ(bits(t.checksum), bits(s.checksum)) << proto;
     EXPECT_EQ(t.checksum, 4 * 12 * 3.0) << proto;  // L*rounds*(1+2)
-    EXPECT_EQ(t.msgs, s.msgs) << proto;
+    EXPECT_EQ(t.am.msgs_sent, s.am.msgs_sent) << proto;
     EXPECT_EQ(s.backend, "proc-socket") << proto;
   }
 }
