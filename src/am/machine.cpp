@@ -157,7 +157,7 @@ std::size_t Proc::poll() {
   // sender's own next poll), then everything that has arrived is taken.
   flush_outboxes();
   // Process backend: flush this rank's transport batches, then pull every
-  // already-arrived frame off the sockets into the mailbox, so one poll()
+  // already-arrived frame out of the rings into the mailbox, so one poll()
   // sees the same "everything that has arrived" batch semantics as the
   // thread backend.  The drain makes no syscall while the doorbell is quiet.
   if (machine_->transport_ != nullptr) {
@@ -257,14 +257,14 @@ void Proc::wait_for_mail() {
   // handoff to the peer that will produce our mail, so the sleep (and its
   // wake-up) is only paid when mail genuinely takes a while.  The spin
   // watches the mailbox and, on proc, the transport's doorbell; a rung bell
-  // returns to the caller's poll, whose drain sweeps the sockets.
+  // returns to the caller's poll, whose drain sweeps the rings.
   for (int i = 0; i < kWaitSpinYields; ++i) {
     if (mail_count_.load(std::memory_order_acquire) != 0) return;
     if (transport != nullptr && transport->rung()) return;
     std::this_thread::yield();
   }
   if (transport != nullptr) {
-    // Socket path: block in poll(2) on the incoming fds until a frame lands
+    // Ring path: sleep on the doorbell's futex until a frame lands
     // in the mailbox (same watchdog escalation as the cv path below).
     if (!transport->wait_readable(
             machine_->watchdog,
@@ -297,12 +297,12 @@ void Proc::barrier() {
   if (machine_->transport_ != nullptr) machine_->transport_->flush_all();
   const std::uint64_t t0 = vclock_ns();
   const std::uint32_t epoch = barrier_epoch_;
-  // Socket backend: the flush lemma does not come for free.  On the thread
+  // Proc backend: the flush lemma does not come for free.  On the thread
   // backend send() enqueues synchronously into the destination mailbox, so
   // any frame sent before a processor's barrier arrival is already at its
   // destination before rank 0 can release — FIFO drain then dispatches it
-  // before the release.  Over sockets a data frame can sit in kernel
-  // buffers while the release on a *different* channel overtakes it, and a
+  // before the release.  Over rings a data frame can sit unread in its
+  // ring while the release on a *different* ring overtakes it, and a
   // receiver would exit the barrier having never seen a pre-barrier update.
   // So each rank first fences all-to-all: per-channel FIFO pushes every
   // pre-barrier user frame ahead of the fence, and a rank proceeds to the
@@ -353,9 +353,9 @@ std::unique_ptr<Machine> Machine::create(const MachineOptions& opts) {
   std::unique_ptr<Transport> transport;
   // A 1-rank "process" machine needs no mesh; everything is a self-send.
   if (opts.backend == Backend::kProc && opts.nprocs > 1)
-    transport = make_socket_transport(opts.nprocs, opts.watchdog_ms,
-                                      opts.batch_max_msgs,
-                                      opts.batch_max_bytes);
+    transport = make_proc_transport(opts.nprocs, opts.watchdog_ms,
+                                    opts.batch_max_msgs,
+                                    opts.batch_max_bytes);
   return std::unique_ptr<Machine>(new Machine(opts, std::move(transport)));
 }
 
@@ -421,7 +421,7 @@ Machine::Machine(const MachineOptions& opts, std::unique_ptr<Transport> transpor
   hclass_[barrier_fence_] = kHcControl;
   hclass_[rank_done_] = kHcControl;
   hclass_[all_done_] = kHcControl;
-  // Fence classification for the transport's drain reordering: socket scan
+  // Fence classification for the transport's drain reordering: ring scan
   // order is not causal order, and the delivery policies' fence semantics
   // (flush lemma under chaos) need barrier frames sequenced after the user
   // frames sent before them.
@@ -547,7 +547,7 @@ void Machine::run_multiprocess(const ProcFn& fn) {
   }
   if (!any_rank_failed_) {
     // Closing barriers drain residual traffic (flush lemma) so the next
-    // run starts with empty mailboxes and sockets; then the wire is
+    // run starts with empty mailboxes and rings; then the wire is
     // quiescent and the stats gather may ride it as control blobs.
     p.barrier();
     p.barrier();
@@ -702,6 +702,7 @@ void Machine::write_deadlock_report(std::ostream& os, const Proc& stuck,
       if (!p->outbox_[dst].empty())
         os << "  outbox[" << dst << "]: " << p->outbox_[dst].size()
            << " coalesced message(s) not yet flushed\n";
+    if (transport_ != nullptr) transport_->describe(os);
     if (p->delivery_ != nullptr) p->delivery_->dump(os);
     for (unsigned slot = 0; slot < kCtxSlots; ++slot)
       if (p->dumpers_[slot]) p->dumpers_[slot](os);

@@ -8,7 +8,7 @@
 //     mailboxes are in-memory deques, time is modeled.  Deterministic; the
 //     substrate for tests, fuzzing, and replay.
 //   * Backend::kProc — one OS *process* per processor, messages serialized
-//     over a Unix-domain socket mesh (am/transport.hpp).  The creating
+//     through shared-memory rings (am/transport.hpp).  The creating
 //     process is rank 0; ranks 1..N-1 fork at Machine::create, execute the
 //     same program SPMD, and exit when the Machine is destroyed (so code
 //     after destruction runs on rank 0 only — where benches report).
@@ -224,7 +224,7 @@ class Proc {
   std::uint32_t arrivals_ = 0;            // proc 0 only: arrivals this epoch
   std::uint64_t barrier_max_vtime_ = 0;   // proc 0 only: max arrival vclock
   std::uint64_t barrier_release_vtime_ = 0;
-  // Socket backend only: cumulative count of barrier-fence frames received
+  // Proc backend only: cumulative count of barrier-fence frames received
   // (each peer sends exactly one per barrier epoch; see Proc::barrier).
   std::uint64_t fences_seen_ = 0;
 
@@ -240,7 +240,7 @@ class Proc {
   // and a waiting receiver spins on mail_count_ (and, on proc, on the
   // transport's doorbell) for kWaitSpinYields sched_yields — on hosts with
   // fewer cores than processors the yield IS the handoff — before paying
-  // for a real sleep (a condition variable on thread, poll(2) on proc).
+  // for a real sleep (a condition variable on thread, a futex on proc).
   static constexpr int kWaitSpinYields = 128;
   std::atomic<std::uint64_t> mail_count_{0};
   bool sleeping_ = false;  ///< under mail_mu_
@@ -396,7 +396,7 @@ class Machine {
     return (hclass_[h] & kHcBarrier) != 0;
   }
 
-  /// Run-finalize control traffic (rank_done / all_done) and the socket
+  /// Run-finalize control traffic (rank_done / all_done) and the proc
   /// backend's barrier fences: pure machinery with no thread-backend
   /// counterpart, so it neither charges time nor counts in message
   /// statistics (stats must agree across backends).

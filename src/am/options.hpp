@@ -1,7 +1,7 @@
 // Machine construction options: the backend-neutral bring-up surface.
 //
 // Historically a Machine was constructed directly as "N OS threads in one
-// process under modeled time".  With a second, multi-process socket backend
+// process under modeled time".  With a second, multi-process backend
 // the construction parameters (which backend, which cost model, which time
 // source, how patient the deadlock watchdog is) became part of the API, so
 // they live in one options struct consumed by Machine::create, the only
@@ -21,11 +21,12 @@ enum class Backend : std::uint8_t {
   /// deques.  Deterministic under delivery policies; the only backend that
   /// supports replay logs, fuzzing, and cross-processor introspection.
   kThread,
-  /// One OS *process* per processor (fork + Unix-domain socketpair mesh);
-  /// messages are serialized over real sockets.  The calling process is
-  /// rank 0; ranks 1..N-1 are forked at Machine::create and exit when the
-  /// Machine is destroyed.  Honors the same delivery contract (per-sender
-  /// FIFO, barrier flush lemma); wall time on this backend is real IPC.
+  /// One OS *process* per processor (fork + a shared-memory ring per
+  /// ordered rank pair); messages are serialized through the rings.  The
+  /// calling process is rank 0; ranks 1..N-1 are forked at Machine::create
+  /// and exit when the Machine is destroyed.  Honors the same delivery
+  /// contract (per-sender FIFO, barrier flush lemma); wall time on this
+  /// backend is real IPC.
   kProc,
 };
 
@@ -54,14 +55,14 @@ struct MachineOptions {
   /// Per-(src, dst) send coalescing (the delivery hot path's batching
   /// layer).  Outgoing messages accumulate in a per-destination buffer and
   /// are handed to the destination in one operation — one mailbox lock per
-  /// segment on the thread backend, one multi-frame write per segment on
-  /// the socket backend — when the sender polls, enters a barrier, sends a
+  /// segment on the thread backend, one multi-frame ring write per segment
+  /// on the proc backend — when the sender polls, enters a barrier, sends a
   /// barrier/control message, or hits this count watermark.  0 or 1
   /// disables coalescing (every send flushes immediately).  Semantics are
   /// unaffected: per-sender FIFO, the barrier flush lemma, delivery
   /// policies, statistics, and modeled time are identical either way.
   std::uint32_t batch_max_msgs = 64;
-  /// Socket backend: flush a destination's batch early once its encoded
+  /// Proc backend: flush a destination's batch early once its encoded
   /// frames exceed this many bytes (bounds peak buffering; large payloads
   /// flush immediately).
   std::uint32_t batch_max_bytes = 64 * 1024;

@@ -9,7 +9,7 @@
 //   * copying a PayloadRef bumps a refcount — an update protocol pushing one
 //     snapshot to N sharers shares a single buffer N ways;
 //   * enqueue -> poll -> dispatch -> handler moves the 8-byte handle, never
-//     the payload bytes (thread backend), and the socket transport
+//     the payload bytes (thread backend), and the proc transport
 //     reassembles inbound frames directly into pooled buffers;
 //   * buffers return to a size-class freelist on release, retiring the
 //     per-delivery allocation entirely in steady state.

@@ -55,8 +55,8 @@ struct Stats {
   std::uint64_t msgs_received = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t polls = 0;
-  std::uint64_t sweeps = 0;  ///< proc backend: `recv` passes over every peer
-  std::uint64_t sleeps = 0;  ///< blocking sleeps entered (cv or poll(2))
+  std::uint64_t sweeps = 0;  ///< proc backend: read passes over every peer's ring
+  std::uint64_t sleeps = 0;  ///< blocking sleeps entered (cv or futex)
   std::uint64_t barriers = 0;
 
   void merge(const Stats& o);

@@ -1,26 +1,25 @@
 #include "am/transport.hpp"
 
 #include <errno.h>
-#include <fcntl.h>
-#include <poll.h>
-#include <string.h>
-#include <sys/mman.h>
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#if defined(__linux__)
-#include <sys/prctl.h>
+#include <linux/futex.h>
 #include <signal.h>
-#endif
+#include <sys/mman.h>
+#include <sys/prctl.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
+#include <time.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <new>
+#include <ostream>
 
 #include "am/stats.hpp"
 #include "common/check.hpp"
@@ -33,7 +32,7 @@ namespace {
 // frame   := u32 magic | u32 kind | u32 body_len | body
 // kAm     := WireHeader | payload bytes
 // kBlob   := opaque bytes (control plane)
-// kBatch  := a run of complete frames, written in one syscall; body_len
+// kBatch  := a run of complete frames, written as one segment; body_len
 //            counts the enclosed bytes, but receivers consume the wrapper
 //            header alone and parse the enclosed frames incrementally (a
 //            batch needs no reassembly of its own)
@@ -110,50 +109,110 @@ void check_magic(const FrameHeader& f) {
                 "or byte order (mixed-build or mixed-endian mesh?)");
 }
 
-std::chrono::steady_clock::time_point deadline_after(
-    std::chrono::milliseconds timeout) {
-  return std::chrono::steady_clock::now() + timeout;
-}
+using Clock = std::chrono::steady_clock;
 
-int ms_until(std::chrono::steady_clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - std::chrono::steady_clock::now());
-  if (left.count() <= 0) return 0;
-  if (left.count() > 1000) return 1000;  // re-check peers at least once/sec
-  return static_cast<int>(left.count());
-}
+// --- the shared arena -------------------------------------------------------
+// One MAP_SHARED | MAP_ANONYMOUS mapping made before fork, so every rank
+// sees the same pages: a Bell per rank, then a Ring per ordered (src, dst)
+// pair, all lock-free atomics and plain bytes.
 
-// --- the arrival doorbell -------------------------------------------------
-// One cache line per rank in a MAP_SHARED page mapped before fork: bell[r]
-// counts the writes other ranks made toward rank r.  A sender bumps it
-// (release) once its bytes are in the kernel; a receiver loads it (acquire)
-// before a sweep, and skips the sweep when it has not moved since the last
-// one.  Bytes whose bump the receiver saw were in the kernel before its
-// load, so the sweep after the load reads them; bytes whose bump it did not
-// see move the bell for the next check.  A poll(2) wake sweeps regardless,
-// because the kernel can report readable before the sender's bump lands.
+/// Ring capacity, one power of two for every pair: wall time is flat from
+/// 8 to 64 KiB, and each touched shared page counts in every rank's RSS.
+inline constexpr std::size_t kRingBytes = std::size_t{16} << 10;
+static_assert(std::has_single_bit(kRingBytes));
 
+/// bell[r]: `rung` counts the writes peers made toward rank r (and the room
+/// a consumer freed for r while r was blocked on a full ring); rank r
+/// sleeps on it as a futex, with `sleepers` non-zero meanwhile so ringers
+/// pay FUTEX_WAKE only then.  `gone`: rank r finalized (not a crash).
 struct alignas(64) Bell {
-  std::atomic<std::uint64_t> rung{0};
+  std::atomic<std::uint32_t> rung{0};
+  std::atomic<std::uint32_t> sleepers{0};
+  std::atomic<std::uint32_t> gone{0};
 };
-static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
-              "the doorbell is shared between processes: it must be lock-free");
+static_assert(std::atomic<std::uint32_t>::is_always_lock_free &&
+                  std::atomic<std::uint64_t>::is_always_lock_free &&
+                  sizeof(std::atomic<std::uint32_t>) == sizeof(std::uint32_t),
+              "the arena is shared between processes; the bell is a futex");
 static_assert(sizeof(Bell) == 64, "one bell per cache line");
 
-// --- the fork + socketpair mesh -------------------------------------------
+/// One single-producer/single-consumer byte ring.  Only the consumer writes
+/// `head` (bytes consumed) and only the producer `tail` (bytes published,
+/// release), each on its own cache line.  `blocked` is set while the
+/// producer waits for room, so the consumer that frees some rings it.
+struct Ring {
+  alignas(64) std::atomic<std::uint64_t> head{0};
+  alignas(64) std::atomic<std::uint64_t> tail{0};
+  std::atomic<std::uint32_t> blocked{0};
+  alignas(64) std::byte data[kRingBytes];
 
-class SocketTransport final : public Transport {
+  std::size_t in_flight() const {
+    return static_cast<std::size_t>(tail.load(std::memory_order_acquire) -
+                                    head.load(std::memory_order_acquire));
+  }
+  /// Producer side, after setting `blocked`: seq_cst against ring_take.
+  bool has_room() const {
+    return tail.load(std::memory_order_relaxed) -
+               head.load(std::memory_order_seq_cst) < kRingBytes;
+  }
+};
+
+/// Copy up to `n` bytes into the ring; returns how many fit (0 when full).
+std::size_t ring_put(Ring& r, const std::byte* p, std::size_t n) {
+  const std::uint64_t tail = r.tail.load(std::memory_order_relaxed);
+  const std::uint64_t head = r.head.load(std::memory_order_acquire);
+  n = std::min(n, kRingBytes - static_cast<std::size_t>(tail - head));
+  if (n == 0) return 0;
+  const std::size_t at = tail & (kRingBytes - 1);
+  const std::size_t first = std::min(n, kRingBytes - at);
+  std::memcpy(r.data + at, p, first);
+  std::memcpy(r.data, p + first, n - first);
+  r.tail.store(tail + n, std::memory_order_release);
+  return n;
+}
+
+/// Move every published byte onto the end of `out`.  Returns true when the
+/// producer was blocked on a full ring (the caller rings its bell).
+bool ring_take(Ring& r, std::vector<std::byte>& out) {
+  const std::uint64_t head = r.head.load(std::memory_order_relaxed);
+  const std::uint64_t tail = r.tail.load(std::memory_order_acquire);
+  const auto n = static_cast<std::size_t>(tail - head);
+  if (n == 0) return false;
+  const std::size_t at = head & (kRingBytes - 1);
+  const std::size_t first = std::min(n, kRingBytes - at);
+  out.insert(out.end(), r.data + at, r.data + at + first);
+  out.insert(out.end(), r.data, r.data + (n - first));
+  // seq_cst against the producer's `blocked` store then `head` load: either
+  // it sees this room or this load sees it blocked.
+  r.head.store(tail, std::memory_order_seq_cst);
+  return r.blocked.load(std::memory_order_seq_cst) != 0 &&
+         r.blocked.exchange(0, std::memory_order_seq_cst) != 0;
+}
+
+// The bell is shared across processes, so no FUTEX_PRIVATE.  A wait
+// returns on a wake, a moved word (EAGAIN), a signal or the timeout alike.
+void futex(std::atomic<std::uint32_t>& word, int op, std::uint32_t val,
+           const timespec* timeout = nullptr) {
+  (void)::syscall(SYS_futex, &word, op, val, timeout, nullptr, 0);
+}
+
+/// The longest futex sleep: rank 0 re-checks its children this often.
+inline constexpr std::chrono::milliseconds kSleepSlice{100};
+
+// --- the ring transport -----------------------------------------------------
+
+class RingTransport final : public Transport {
  public:
-  SocketTransport(ProcId self, std::uint32_t nprocs, std::vector<int> fds,
-                  std::vector<pid_t> pids, Bell* bells, std::size_t bells_bytes,
-                  std::uint32_t watchdog_ms, std::uint32_t batch_max_msgs,
-                  std::uint32_t batch_max_bytes)
+  RingTransport(ProcId self, std::uint32_t nprocs, std::vector<pid_t> pids,
+                Bell* arena, std::size_t arena_bytes,
+                std::uint32_t watchdog_ms, std::uint32_t batch_max_msgs,
+                std::uint32_t batch_max_bytes)
       : self_(self),
         nprocs_(nprocs),
-        fds_(std::move(fds)),
         pids_(std::move(pids)),
-        bells_(bells),
-        bells_bytes_(bells_bytes),
+        status_(pids_.size(), kUnreaped),
+        bells_(arena),
+        arena_bytes_(arena_bytes),
         watchdog_(watchdog_ms),
         batch_msgs_(batch_max_msgs < 1 ? 1 : batch_max_msgs),
         batch_bytes_(batch_max_bytes),
@@ -161,32 +220,21 @@ class SocketTransport final : public Transport {
         tx_(nprocs),
         ctrl_(nprocs),
         expect_seq_(nprocs, {0, 0}),
-        bye_(nprocs, false) {
-    for (ProcId p = 0; p < nprocs_; ++p)
-      if (fds_[p] >= 0) pfds_.push_back({fds_[p], POLLIN, 0});
-  }
+        bye_(nprocs, false) {}
 
-  ~SocketTransport() override {
+  ~RingTransport() override {
     finalize(0);
-    ::munmap(bells_, bells_bytes_);
+    ::munmap(bells_, arena_bytes_);
   }
-  SocketTransport(const SocketTransport&) = delete;
-  SocketTransport& operator=(const SocketTransport&) = delete;
+  RingTransport(const RingTransport&) = delete;
+  RingTransport& operator=(const RingTransport&) = delete;
 
   ProcId self() const override { return self_; }
-  std::uint32_t nprocs() const override { return nprocs_; }
-  const char* name() const override { return "proc-socket"; }
 
   void send(ProcId dst, const Message& m) override {
-    ACE_CHECK_MSG(dst < nprocs_ && dst != self_ && fds_[dst] >= 0,
-                  "socket transport send to an invalid rank");
+    ACE_CHECK_MSG(dst < nprocs_ && dst != self_,
+                  "ring transport send to an invalid rank");
     TxBuf& tx = tx_[dst];
-    if (batch_msgs_ <= 1) {
-      // Batching off: plain frame, straight onto the wire.
-      append_message(tx.buf, m);
-      drain_tx(dst);
-      return;
-    }
     if (tx.batch_hdr == TxBuf::kNoBatch) open_batch(tx);
     append_message(tx.buf, m);
     tx.msgs += 1;
@@ -201,7 +249,7 @@ class SocketTransport final : public Transport {
 
   void flush_all() override {
     for (ProcId p = 0; p < nprocs_; ++p)
-      if (fds_[p] >= 0) flush(p);
+      if (p != self_) flush(p);
   }
 
   void send_blob(ProcId dst, const std::vector<std::byte>& blob) override {
@@ -222,24 +270,21 @@ class SocketTransport final : public Transport {
 
   void count_into(Stats* stats) override { stats_ = stats; }
 
-  bool rung() const override {
-    return !spill_.empty() ||
-           bells_[self_].rung.load(std::memory_order_acquire) != swept_bell_;
-  }
+  bool rung() const override { return !spill_.empty() || bell() != swept_bell_; }
 
   std::size_t drain(const MessageSink& sink) override {
     std::size_t n = flush_spill(sink);
-    // The doorbell: no syscall unless a peer finished a write since the
-    // last sweep, or poll(2) woke us (readable can precede the bump).
-    const std::uint64_t bell = bells_[self_].rung.load(std::memory_order_acquire);
-    if (bell == swept_bell_ && !woke_) return n;
-    swept_bell_ = bell;
-    woke_ = false;
+    // The doorbell: no ring is touched unless a peer wrote since the last
+    // sweep.  A peer bumps the bell after its tail store, so whatever the
+    // loaded value announces is readable by the sweep that follows.
+    const std::uint32_t rung = bell();
+    if (rung == swept_bell_) return n;
+    swept_bell_ = rung;
     // Stage one full sweep of every peer.  If the sweep picked up a fence
     // (barrier) frame, sweep again: everything sent before that fence was
-    // already buffered on its own stream when the fence was read (stream
-    // writes complete synchronously into the peer's kernel buffer), so one
-    // more pass closes the causal set.  Repeat while fences keep arriving.
+    // already in its own ring when the fence was read (a write returns only
+    // once its last byte is in the ring), so one more pass closes the
+    // causal set.  Repeat while fences keep arriving.
     bool saw_fence = true;
     while (saw_fence) {
       saw_fence = false;
@@ -249,7 +294,7 @@ class SocketTransport final : public Transport {
         if (is_fence(staged_[i].handler)) saw_fence = true;
     }
     // Emit with fence frames deferred past the user frames of this drain:
-    // fd-scan order is not causal order (see set_fence_predicate), and
+    // ring scan order is not causal order (see set_fence_predicate), and
     // delaying a fence is always legal — the receiver just leaves its
     // barrier a moment later.  Per-sender FIFO still holds: a deferred
     // fence is flushed before any later frame from its own sender.
@@ -281,17 +326,18 @@ class SocketTransport final : public Transport {
 
   bool wait_readable(std::chrono::milliseconds timeout,
                      const MessageSink& sink) override {
-    const auto deadline = deadline_after(timeout);
+    const auto deadline = Clock::now() + timeout;
     for (;;) {
       if (drain(sink) != 0) return true;
-      if (!poll_in(deadline)) return false;
+      if (stats_ != nullptr) stats_->sleeps += 1;
+      if (!sleep_while(swept_bell_, deadline)) return false;
     }
   }
 
   std::vector<std::byte> recv_blob(ProcId src,
                                    std::chrono::milliseconds timeout,
                                    const MessageSink& sink) override {
-    const auto deadline = deadline_after(timeout);
+    const auto deadline = Clock::now() + timeout;
     flush_all();  // defensive: never block on a peer with frames still queued
     for (;;) {
       flush_spill(sink);
@@ -300,38 +346,39 @@ class SocketTransport final : public Transport {
         ctrl_[src].pop_front();
         return blob;
       }
+      const std::uint32_t seen = bell();
       read_available(src, sink);
       if (!ctrl_[src].empty()) continue;
-      struct pollfd pfd = {fds_[src], POLLIN, 0};
-      const int r = ::poll(&pfd, 1, ms_until(deadline));
-      ACE_CHECK_MSG(r >= 0 || errno == EINTR, "poll failed in recv_blob");
-      ACE_CHECK_MSG(std::chrono::steady_clock::now() < deadline,
+      ACE_CHECK_MSG(sleep_while(seen, deadline),
                     "recv_blob timed out waiting for a peer rank");
     }
+  }
+
+  void describe(std::ostream& os) const override {
+    os << "  rings: bell=" << bells_[self_].rung.load()
+       << " swept=" << swept_bell_
+       << " sleepers=" << bells_[self_].sleepers.load()
+       << " spilled=" << spill_.size() << "\n";
+    for (ProcId p = 0; p < nprocs_; ++p)
+      if (p != self_)
+        os << "  ring " << self_ << "->" << p << ": "
+           << ring(self_, p).in_flight() << " B in flight, " << p << "->"
+           << self_ << ": " << ring(p, self_).in_flight() << " B in flight\n";
   }
 
   int finalize(int exit_code) override {
     if (finalized_) return 0;
     finalized_ = true;
-    // Teardown must be orderly: a rank that closed its sockets unilaterally
-    // would race peers still draining their last frames (they would read
-    // EOF mid-protocol and report a crash).  So children announce "bye" to
-    // rank 0 and then wait for rank 0 — who closes the whole mesh only
-    // after every child said bye (or died) — to hang up on them first.
+    // A child says bye through its ring to rank 0 and exits at once (the
+    // arena outlives it, so peers still read all it wrote); `gone`, set
+    // after the bye, tells rank 0 the exit was orderly.
     if (self_ != 0) {
-      if (fds_[0] >= 0) {
-        TxBuf& tx = tx_[0];
-        close_batch(tx);
-        const FrameHeader bye{kFrameMagic, kBye, 0};
-        append(tx.buf, &bye, sizeof bye);
-        drain_tx(0);
-        wait_peer_eof(fds_[0]);
-      }
-      for (int& fd : fds_)
-        if (fd >= 0) {
-          ::close(fd);
-          fd = -1;
-        }
+      TxBuf& tx = tx_[0];
+      close_batch(tx);
+      const FrameHeader bye{kFrameMagic, kBye, 0};
+      append(tx.buf, &bye, sizeof bye);
+      drain_tx(0);
+      bells_[self_].gone.store(1, std::memory_order_seq_cst);
       // Forked rank: this process exists only to be a processor.  _Exit
       // skips atexit/static destruction and, crucially, does not flush
       // stdio buffers inherited from the pre-fork parent (which would
@@ -339,24 +386,14 @@ class SocketTransport final : public Transport {
       std::_Exit(exit_code);
     }
     for (ProcId r = 1; r < nprocs_; ++r) wait_bye(r);
-    for (int& fd : fds_)
-      if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-      }
     int bad = 0;
-    for (pid_t pid : pids_) {
-      int status = 0;
-      pid_t r;
-      do {
-        r = ::waitpid(pid, &status, 0);
-      } while (r < 0 && errno == EINTR);
-      if (r < 0) continue;  // already reaped
-      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    for (std::size_t i = 0; i < pids_.size(); ++i) {
+      if (!reap(i, 0)) continue;  // reaped elsewhere: nothing to classify
+      if (!WIFEXITED(status_[i]) || WEXITSTATUS(status_[i]) != 0) {
         std::fprintf(stderr,
                      "ace::am proc backend: child pid %d exited abnormally "
                      "(status 0x%x)\n",
-                     static_cast<int>(pid), status);
+                     static_cast<int>(pids_[i]), status_[i]);
         bad += 1;
       }
     }
@@ -365,7 +402,9 @@ class SocketTransport final : public Transport {
   }
 
  private:
-  /// Per-peer receive reassembly: a byte buffer accumulating stream data
+  static constexpr int kUnreaped = -1;
+
+  /// Per-peer receive reassembly: a byte buffer accumulating ring bytes
   /// until complete frames can be cut off its front.
   struct RxBuf {
     std::vector<std::byte> buf;
@@ -380,13 +419,88 @@ class SocketTransport final : public Transport {
     const std::byte* front() const { return buf.data() + consumed; }
   };
 
+  /// The rings follow the bells in the arena, indexed src * nprocs + dst.
+  Ring& ring(ProcId src, ProcId dst) const {
+    return reinterpret_cast<Ring*>(bells_ + nprocs_)[src * nprocs_ + dst];
+  }
+
   bool is_fence(HandlerId h) const { return is_fence_ && is_fence_(h); }
 
-  /// One non-blocking `recv` pass over every peer.
+  /// Bump rank `r`'s bell, and wake it if it sleeps.  seq_cst against the
+  /// sleeper's `sleepers` increment then `rung` load: either it sees this
+  /// bump or this load sees it asleep.
+  void ring_bell(ProcId r) {
+    Bell& b = bells_[r];
+    b.rung.fetch_add(1, std::memory_order_seq_cst);
+    if (b.sleepers.load(std::memory_order_seq_cst) != 0)
+      futex(b.rung, FUTEX_WAKE, 1);
+  }
+
+  /// Sleep while this rank's bell still reads `seen`, in slices of at most
+  /// kSleepSlice so rank 0 notices a dead child promptly.  Returns false
+  /// once the deadline passes with the bell unmoved.
+  bool sleep_while(std::uint32_t seen, Clock::time_point deadline) {
+    while (bell() == seen) {
+      if (Clock::now() >= deadline) return false;
+      sleep_once(seen);
+      check_children();
+    }
+    return true;
+  }
+
+  /// One FUTEX_WAIT of at most kSleepSlice on this rank's bell while it
+  /// reads `seen`.  seq_cst against ring_bell: either this load sees the
+  /// ringer's bump or the ringer sees `sleepers` and wakes us.
+  void sleep_once(std::uint32_t seen) {
+    static constexpr timespec kSlice{0, kSleepSlice.count() * 1'000'000};
+    Bell& b = bells_[self_];
+    b.sleepers.fetch_add(1, std::memory_order_seq_cst);
+    if (b.rung.load(std::memory_order_seq_cst) == seen)
+      futex(b.rung, FUTEX_WAIT, seen, &kSlice);
+    b.sleepers.fetch_sub(1, std::memory_order_seq_cst);
+  }
+
+  std::uint32_t bell() const { return bells_[self_].rung.load(); }
+
+  /// Rank 0: reap any child that has exited.  One that exited without
+  /// finalizing crashed mid-run, and nothing it owed will ever arrive, so
+  /// fail now, naming it.  Its status is kept for finalize either way.
+  void check_children() {
+    const auto now = Clock::now();
+    if (pids_.empty() || now < next_reap_check_) return;
+    next_reap_check_ = now + kSleepSlice;
+    for (std::size_t i = 0; i < pids_.size(); ++i) {
+      if (!reap(i)) continue;
+      const ProcId r = static_cast<ProcId>(i + 1);
+      if (bells_[r].gone.load(std::memory_order_seq_cst) != 0) continue;
+      const int st = status_[i];
+      char msg[160];
+      std::snprintf(msg, sizeof msg,
+                    "peer rank %u (pid %d) died mid-run: %s %d", r,
+                    static_cast<int>(pids_[i]),
+                    WIFSIGNALED(st) ? "signal" : "exit status",
+                    WIFSIGNALED(st) ? WTERMSIG(st) : WEXITSTATUS(st));
+      check_failed("ring transport", __FILE__, __LINE__, msg);
+    }
+  }
+
+  /// Rank 0: reap child `i` (rank i + 1), by default without blocking.
+  /// True when it has exited (now or before), with its status recorded.
+  bool reap(std::size_t i, int flags = WNOHANG) {
+    while (status_[i] == kUnreaped) {
+      int status = 0;
+      const pid_t got = ::waitpid(pids_[i], &status, flags);
+      if (got == pids_[i]) status_[i] = status;
+      else if (got == 0 || errno != EINTR) return false;
+    }
+    return true;
+  }
+
+  /// One pass over every peer's ring.
   void sweep(const MessageSink& sink) {
     if (stats_ != nullptr) stats_->sweeps += 1;
     for (ProcId p = 0; p < nprocs_; ++p)
-      if (fds_[p] >= 0) read_available(p, sink);
+      if (p != self_) read_available(p, sink);
   }
 
   std::size_t flush_spill(const MessageSink& sink) {
@@ -400,26 +514,10 @@ class SocketTransport final : public Transport {
     return n;
   }
 
-  /// Non-blocking read of everything available from peer `p`; complete AM
-  /// frames go to `sink`, control frames queue on ctrl_[p].
+  /// Take everything peer `p` has published; complete AM frames go to
+  /// `sink`, control frames queue on ctrl_[p].
   std::size_t read_available(ProcId p, const MessageSink& sink) {
-    RxBuf& rx = rx_[p];
-    char tmp[64 * 1024];
-    for (;;) {
-      const ssize_t r = ::recv(fds_[p], tmp, sizeof tmp, 0);
-      if (r > 0) {
-        append(rx.buf, tmp, static_cast<std::size_t>(r));
-        if (static_cast<std::size_t>(r) < sizeof tmp) break;
-        continue;
-      }
-      if (r == 0)
-        check_failed("socket transport", __FILE__, __LINE__,
-                     "peer rank closed the connection (did it crash?)");
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      check_failed("socket transport", __FILE__, __LINE__,
-                   "read from peer rank failed");
-    }
+    if (ring_take(ring(p, self_), rx_[p].buf)) ring_bell(p);
     return parse_frames(p, sink);
   }
 
@@ -433,8 +531,7 @@ class SocketTransport final : public Transport {
       if (f.kind == kBatch) {
         // A batch is just a wrapper: consume its header alone and parse the
         // enclosed frames incrementally — never wait for the full batch body
-        // (it may still be in flight, or cut short by a kernel-buffer
-        // boundary mid-batch).
+        // (it may be larger than the ring, still being written).
         rx.consumed += sizeof f;
         continue;
       }
@@ -449,7 +546,7 @@ class SocketTransport final : public Transport {
         std::uint64_t& expect = expect_seq_[p][origin != 0 ? 1 : 0];
         expect += 1;
         ACE_CHECK_MSG(m.seq == (expect | origin),
-                      "per-sender FIFO violated on the socket transport");
+                      "per-sender FIFO violated on the ring transport");
         sink(std::move(m));
         delivered += 1;
       } else if (f.kind == kBlob) {
@@ -457,7 +554,7 @@ class SocketTransport final : public Transport {
       } else if (f.kind == kBye) {
         bye_[p] = true;
       } else {
-        check_failed("socket transport", __FILE__, __LINE__,
+        check_failed("ring transport", __FILE__, __LINE__,
                      "unknown frame kind on the wire");
       }
       rx.consumed += sizeof f + f.body_len;
@@ -466,91 +563,34 @@ class SocketTransport final : public Transport {
     return delivered;
   }
 
-  /// Rank 0, teardown: wait until child `r` announces bye, closes its end,
-  /// or the watchdog passes.  Tolerant by design — this runs on the report
-  /// path too, where the child may already be dead; the reap below is what
-  /// classifies child exits.
+  /// Rank 0, teardown: wait until child `r` announces bye, exits, or the
+  /// watchdog passes (then it is killed, so the reap cannot hang).
+  /// Tolerant by design — this runs on the report path too, where the
+  /// child may already be dead; the reap is what classifies child exits.
   void wait_bye(ProcId r) {
-    if (fds_[r] < 0) return;
-    const auto deadline =
-        deadline_after(std::chrono::milliseconds{watchdog_});
-    while (!bye_[r]) {
-      struct pollfd pfd = {fds_[r], POLLIN, 0};
-      const int pr = ::poll(&pfd, 1, ms_until(deadline));
-      if (pr < 0 && errno != EINTR) return;
-      if (std::chrono::steady_clock::now() >= deadline) return;
-      if (pr <= 0) continue;
-      char tmp[4096];
-      const ssize_t n = ::recv(fds_[r], tmp, sizeof tmp, 0);
-      if (n == 0) return;  // child hung up (crashed or already exiting)
-      if (n < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-        return;
-      }
-      append(rx_[r].buf, tmp, static_cast<std::size_t>(n));
+    const auto deadline = Clock::now() + std::chrono::milliseconds{watchdog_};
+    for (;;) {
+      const std::uint32_t seen = bell();
       // Residual frames ahead of the bye belong to a failed run that never
-      // quiesced; they have no consumer anymore, so scan-and-discard.
-      RxBuf& rx = rx_[r];
-      while (rx.pending() >= sizeof(FrameHeader)) {
-        FrameHeader f;
-        std::memcpy(&f, rx.front(), sizeof f);
-        if (f.kind == kBatch) {  // wrapper only — scan the enclosed frames
-          rx.consumed += sizeof f;
-          continue;
-        }
-        if (rx.pending() < sizeof f + f.body_len) break;
-        if (f.kind == kBye) bye_[r] = true;
-        rx.consumed += sizeof f + f.body_len;
-      }
-      rx.compact();
-    }
-  }
-
-  /// Child, teardown: drain-and-discard until rank 0 closes the mesh (EOF)
-  /// or the watchdog passes.
-  void wait_peer_eof(int fd) {
-    const auto deadline =
-        deadline_after(std::chrono::milliseconds{watchdog_});
-    for (;;) {
-      struct pollfd pfd = {fd, POLLIN, 0};
-      const int pr = ::poll(&pfd, 1, ms_until(deadline));
-      if (pr < 0 && errno != EINTR) return;
-      if (std::chrono::steady_clock::now() >= deadline) return;
-      if (pr <= 0) continue;
-      char tmp[4096];
-      const ssize_t n = ::recv(fd, tmp, sizeof tmp, 0);
-      if (n == 0) return;
-      if (n < 0 && errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK)
+      // quiesced; they have no consumer anymore.
+      read_available(r, [](Message&&) {});
+      if (bye_[r] || reap(r - 1)) return;
+      if (Clock::now() >= deadline) {
+        ::kill(pids_[r - 1], SIGKILL);
         return;
-    }
-  }
-
-  /// Block until any peer is readable or the deadline passes.
-  bool poll_in(std::chrono::steady_clock::time_point deadline) {
-    if (stats_ != nullptr) stats_->sleeps += 1;
-    for (;;) {
-      const int r = ::poll(pfds_.data(), pfds_.size(), ms_until(deadline));
-      if (r > 0) {
-        woke_ = true;
-        return true;
       }
-      if (r < 0 && errno != EINTR)
-        check_failed("socket transport", __FILE__, __LINE__, "poll failed");
-      if (std::chrono::steady_clock::now() >= deadline) return false;
+      sleep_once(seen);
     }
   }
 
-  /// Per-peer transmit queue.  Every byte bound for a peer — batched AM
-  /// frames, control blobs, the teardown bye — is appended here and drained
-  /// in order from the `sent` offset, so a partial kernel write (short
-  /// send / EAGAIN mid-payload) resumes at the exact byte where it stopped
-  /// and no later frame can interleave into an unfinished one.  (The old
-  /// per-frame write loop recomputed its offset per call; a single ordered
-  /// queue makes the interleave bug structurally impossible.)
+  /// Per-peer transmit queue.  Every byte bound for a peer (AM batches,
+  /// blobs, the bye) is appended here and drained in order from `sent`, so
+  /// a short ring write resumes at the exact byte where it stopped and no
+  /// later frame can interleave into an unfinished one.
   struct TxBuf {
     static constexpr std::size_t kNoBatch = static_cast<std::size_t>(-1);
     std::vector<std::byte> buf;
-    std::size_t sent = 0;            ///< bytes already on the wire
+    std::size_t sent = 0;            ///< bytes already in the ring
     std::uint32_t msgs = 0;          ///< messages in the open batch
     std::size_t batch_hdr = kNoBatch;  ///< offset of the open kBatch header
 
@@ -576,62 +616,61 @@ class SocketTransport final : public Transport {
     tx.msgs = 0;
   }
 
-  /// Push the peer's queued bytes onto the wire (everything before any
-  /// still-open batch wrapper was already sealed by the callers).  On a
-  /// full send buffer, drain incoming frames into the spill queue while
-  /// waiting for POLLOUT — the classic fix for two ranks flooding each
-  /// other past both kernel buffers.  The peer's bell is rung once the
-  /// last byte is in the kernel, and also before each wait for POLLOUT, so
-  /// a peer that only polls still reads the part already written and frees
-  /// the window this write is waiting on.
+  /// Push the peer's queued (sealed) bytes into its ring.  The peer's bell
+  /// is rung once the last byte is in, and also before each wait for room,
+  /// so a peer that only polls still reads the part already written.
   void drain_tx(ProcId dst) {
     TxBuf& tx = tx_[dst];
     ACE_CHECK_MSG(tx.batch_hdr == TxBuf::kNoBatch,
                   "drain_tx with an unsealed batch wrapper");
+    Ring& r = ring(self_, dst);
     bool unrung = false;  // bytes written since the last bump
     while (tx.sent < tx.buf.size()) {
-      // MSG_NOSIGNAL: a dead peer must surface as a checkable error (EPIPE
-      // below), not kill this rank with SIGPIPE.
-      const ssize_t w = ::send(fds_[dst], tx.buf.data() + tx.sent,
-                               tx.buf.size() - tx.sent, MSG_NOSIGNAL);
-      if (w > 0) {
-        tx.sent += static_cast<std::size_t>(w);
+      const std::size_t w =
+          ring_put(r, tx.buf.data() + tx.sent, tx.buf.size() - tx.sent);
+      if (w != 0) {
+        tx.sent += w;
         unrung = true;
         continue;
       }
-      if (w < 0 && errno == EINTR) continue;
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        if (unrung) ring(dst);
-        unrung = false;
-        // Receiver not keeping up: pull what peers have sent us (so they
-        // can make progress too), then wait for writability.
-        sweep([this](Message&& m) { spill_.push_back(std::move(m)); });
-        struct pollfd pfd = {fds_[dst], POLLOUT, 0};
-        const int r = ::poll(&pfd, 1, static_cast<int>(watchdog_));
-        ACE_CHECK_MSG(r != 0, "socket transport write stalled past watchdog");
-        continue;
-      }
-      check_failed("socket transport", __FILE__, __LINE__,
-                   "write to peer rank failed (peer crashed?)");
+      if (unrung) ring_bell(dst);
+      unrung = false;
+      wait_for_room(dst);
     }
-    if (unrung) ring(dst);
+    if (unrung) ring_bell(dst);
     tx.buf.clear();
     tx.sent = 0;
   }
 
-  void ring(ProcId dst) {
-    bells_[dst].rung.fetch_add(1, std::memory_order_release);
+  /// The ring to `dst` is full: wait until its consumer frees room (it
+  /// rings our bell when it sees `blocked`), spilling what peers send us
+  /// meanwhile, or two ranks flooding each other would wait on each other.
+  void wait_for_room(ProcId dst) {
+    Ring& r = ring(self_, dst);
+    const auto deadline = Clock::now() + std::chrono::milliseconds{watchdog_};
+    for (;;) {
+      const std::uint32_t seen = bell();
+      sweep([this](Message&& m) { spill_.push_back(std::move(m)); });
+      r.blocked.store(1, std::memory_order_seq_cst);
+      if (r.has_room()) {
+        r.blocked.store(0, std::memory_order_relaxed);
+        return;
+      }
+      ACE_CHECK_MSG(bells_[dst].gone.load(std::memory_order_acquire) == 0,
+                    "ring transport write to a rank that already exited");
+      ACE_CHECK_MSG(sleep_while(seen, deadline),
+                    "ring transport write stalled past watchdog");
+    }
   }
 
   ProcId self_;
   std::uint32_t nprocs_;
-  std::vector<int> fds_;     ///< fds_[p]: stream to rank p (-1 for self)
   std::vector<pid_t> pids_;  ///< rank 0 only: children, ranks 1..N-1
-  Bell* bells_;              ///< the shared page: one bell per rank
-  std::size_t bells_bytes_;
-  std::uint64_t swept_bell_ = 0;  ///< bells_[self_] as of the last sweep
-  bool woke_ = false;  ///< poll(2) saw a readable peer: sweep next drain
-  std::vector<struct pollfd> pfds_;  ///< every peer, POLLIN (poll_in)
+  std::vector<int> status_;  ///< rank 0: each child's wait status once reaped
+  Clock::time_point next_reap_check_{};
+  Bell* bells_;  ///< the arena: one bell per rank, then the rings
+  std::size_t arena_bytes_;
+  std::uint32_t swept_bell_ = 0;  ///< bells_[self_] as of the last sweep
   std::uint32_t watchdog_;
   std::uint32_t batch_msgs_;   ///< count watermark (1 = batching off)
   std::uint32_t batch_bytes_;  ///< byte watermark for early flush
@@ -650,52 +689,26 @@ class SocketTransport final : public Transport {
   bool finalized_ = false;
 };
 
-void set_socket_options(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  ACE_CHECK_MSG(flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0,
-                "cannot make transport socket non-blocking");
-  // Bigger kernel buffers shrink the window where drain_tx has to spill;
-  // best-effort (capped by wmem_max without privileges).  ACE_SOCK_SNDBUF
-  // overrides both directions — tests shrink it to force short writes.
-  int sz = 1 << 20;
-  if (const char* env = std::getenv("ACE_SOCK_SNDBUF")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) sz = static_cast<int>(v);
-  }
-  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sz, sizeof sz);
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &sz, sizeof sz);
-}
-
 }  // namespace
 
-std::unique_ptr<Transport> make_socket_transport(std::uint32_t nprocs,
-                                                 std::uint32_t watchdog_ms,
-                                                 std::uint32_t batch_max_msgs,
-                                                 std::uint32_t batch_max_bytes) {
-  ACE_CHECK_MSG(nprocs >= 1, "socket transport needs at least one rank");
-  ACE_CHECK_MSG(nprocs <= 64,
-                "socket transport mesh capped at 64 ranks (fd budget)");
-  // Full mesh of stream socketpairs, created BEFORE fork so every rank
-  // inherits every endpoint and just closes the ones it does not own.
-  // mesh[i][j] (i < j): end [0] belongs to rank i, end [1] to rank j.
-  std::vector<std::vector<std::array<int, 2>>> mesh(nprocs);
-  for (std::uint32_t i = 0; i < nprocs; ++i) {
-    mesh[i].resize(nprocs, {-1, -1});
-    for (std::uint32_t j = i + 1; j < nprocs; ++j) {
-      int sv[2];
-      ACE_CHECK_MSG(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) == 0,
-                    "socketpair failed (fd limit? try fewer ranks)");
-      mesh[i][j] = {sv[0], sv[1]};
-    }
-  }
-
-  // The doorbell page, shared by every rank because it is mapped before fork.
-  const std::size_t bells_bytes = sizeof(Bell) * nprocs;
-  void* page = ::mmap(nullptr, bells_bytes, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  ACE_CHECK_MSG(page != MAP_FAILED, "cannot map the transport doorbell page");
-  auto* bells = static_cast<Bell*>(page);
+std::unique_ptr<Transport> make_proc_transport(std::uint32_t nprocs,
+                                               std::uint32_t watchdog_ms,
+                                               std::uint32_t batch_max_msgs,
+                                               std::uint32_t batch_max_bytes) {
+  ACE_CHECK_MSG(nprocs >= 1, "ring transport needs at least one rank");
+  ACE_CHECK_MSG(nprocs <= 64, "ring transport capped at 64 ranks");
+  // The arena, shared by every rank because it is mapped before fork.  A
+  // rank's RSS counts only the pages it touches: the headers set up here,
+  // and the data of the rings it actually uses.
+  const std::size_t arena_bytes =
+      sizeof(Bell) * nprocs + sizeof(Ring) * nprocs * nprocs;
+  void* arena = ::mmap(nullptr, arena_bytes, PROT_READ | PROT_WRITE,
+                       MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ACE_CHECK_MSG(arena != MAP_FAILED, "cannot map the transport arena");
+  auto* bells = static_cast<Bell*>(arena);
+  auto* rings = reinterpret_cast<Ring*>(bells + nprocs);
   for (std::uint32_t r = 0; r < nprocs; ++r) new (&bells[r]) Bell;
+  for (std::uint32_t i = 0; i < nprocs * nprocs; ++i) new (&rings[i]) Ring;
 
   // Pending stdio output would be duplicated into every child; flush first.
   std::fflush(nullptr);
@@ -704,42 +717,21 @@ std::unique_ptr<Transport> make_socket_transport(std::uint32_t nprocs,
   std::vector<pid_t> pids;
   for (std::uint32_t r = 1; r < nprocs; ++r) {
     const pid_t pid = ::fork();
-    ACE_CHECK_MSG(pid >= 0, "fork failed for socket-transport rank");
+    ACE_CHECK_MSG(pid >= 0, "fork failed for a proc-backend rank");
     if (pid == 0) {
       self = r;
       pids.clear();
-#if defined(__linux__)
       // If the parent (rank 0) dies, take the whole job down with it
       // instead of leaving orphan ranks spinning in wait_for_mail.
       ::prctl(PR_SET_PDEATHSIG, SIGKILL);
-#endif
       break;
     }
     pids.push_back(pid);
   }
 
-  // Keep only this rank's endpoints; close the rest of the mesh.
-  std::vector<int> fds(nprocs, -1);
-  for (std::uint32_t i = 0; i < nprocs; ++i)
-    for (std::uint32_t j = i + 1; j < nprocs; ++j) {
-      const auto [a, b] = mesh[i][j];
-      if (self == i) {
-        fds[j] = a;
-        ::close(b);
-      } else if (self == j) {
-        fds[i] = b;
-        ::close(a);
-      } else {
-        ::close(a);
-        ::close(b);
-      }
-    }
-  for (std::uint32_t p = 0; p < nprocs; ++p)
-    if (fds[p] >= 0) set_socket_options(fds[p]);
-
-  return std::make_unique<SocketTransport>(
-      self, nprocs, std::move(fds), std::move(pids), bells, bells_bytes,
-      watchdog_ms, batch_max_msgs, batch_max_bytes);
+  return std::make_unique<RingTransport>(self, nprocs, std::move(pids), bells,
+                                         arena_bytes, watchdog_ms,
+                                         batch_max_msgs, batch_max_bytes);
 }
 
 }  // namespace ace::am

@@ -17,16 +17,16 @@
 //     centralized barrier protocol riding the same channel;
 //   * liveness: a rank blocked in wait_for_mail wakes when a frame arrives;
 //   * the doorbell: every rank has an arrival counter that its peers can
-//     bump.  A sender bumps the destination's counter after its bytes are in
-//     the kernel, and a receiver loads its own counter before it sweeps, so
-//     a sweep may be skipped while the counter has not moved: whatever the
+//     bump.  A sender bumps the destination's counter after its bytes are
+//     readable, and a receiver loads its own counter before it sweeps, so a
+//     sweep may be skipped while the counter has not moved: whatever the
 //     loaded value announced was already readable when the sweep began.
 //
-// SocketTransport implements the contract with a full mesh of Unix-domain
-// stream socketpairs created before fork: one ordered byte stream per rank
-// pair, so per-sender FIFO is inherited from the kernel.  Frames are
-// length-prefixed; partial reads reassemble per peer.  A small control
-// plane (blobs) rides the same sockets for post-run stats gathers — legal
+// make_proc_transport implements the contract in one MAP_SHARED arena
+// mapped before fork: an SPSC byte ring per ordered rank pair (per-sender
+// FIFO is the ring's own order) and per rank a futex doorbell word.  Frames
+// are length-prefixed; partial reads reassemble per peer.  A small control
+// plane (blobs) rides the same rings for post-run stats gathers — legal
 // only at quiescent points (after run()'s closing barriers), where the
 // flush lemma guarantees no AM frame is still in flight.
 #pragma once
@@ -34,8 +34,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -54,21 +54,19 @@ class Transport {
   virtual ~Transport() = default;
 
   virtual ProcId self() const = 0;
-  virtual std::uint32_t nprocs() const = 0;
-  virtual const char* name() const = 0;
 
   /// Install the fence classifier (true for barrier-protocol handlers).
-  /// Socket fd-scan order is not causal order: a barrier release read off
-  /// rank 0's stream may precede user frames from other peers that were
+  /// Ring scan order is not causal order: a barrier release read off
+  /// rank 0's ring may precede user frames from other peers that were
   /// sent strictly before it.  The delivery layer's fence semantics (and
   /// so the flush lemma under a reordering policy) assume fences arrive
   /// after everything sent before them, so a transport must re-establish
-  /// that order at drain time.  Default: no classifier, no reordering.
-  virtual void set_fence_predicate(std::function<bool(HandlerId)>) {}
+  /// that order at drain time.
+  virtual void set_fence_predicate(std::function<bool(HandlerId)>) = 0;
 
-  /// Count this rank's `recv` sweeps (Stats::sweeps) and blocking sleeps
+  /// Count this rank's ring sweeps (Stats::sweeps) and blocking sleeps
   /// (Stats::sleeps) into `stats`, which must outlive the transport.
-  virtual void count_into(Stats*) {}
+  virtual void count_into(Stats*) = 0;
 
   /// True when a frame may be waiting: the doorbell moved since the last
   /// sweep, or frames drained during a blocked write are still queued.  A
@@ -80,32 +78,34 @@ class Transport {
   /// of writing it immediately; the Machine guarantees a flush()/flush_all()
   /// follows before the sender blocks, polls, or enters a barrier, so no
   /// frame is ever delayed past the sender's next communication point.
-  /// When a write does happen it blocks only if the peer's receive window
-  /// is full, in which case incoming frames keep being drained (into an
-  /// internal spill queue) so two ranks flooding each other cannot
-  /// write-write deadlock.
+  /// A write blocks only while the peer's ring is full, and meanwhile
+  /// drains incoming frames into a spill queue, so two ranks flooding each
+  /// other cannot write-write deadlock.
   virtual void send(ProcId dst, const Message& m) = 0;
 
-  /// Push any frames coalesced for `dst` onto the wire.  Called by the
+  /// Push any frames coalesced for `dst` into its ring.  Called by the
   /// Machine after barrier/control sends (those protocols assume prompt
   /// visibility; per-channel FIFO pushes coalesced user frames ahead).
-  /// Default: write-through transports have nothing to flush.
-  virtual void flush(ProcId) {}
+  virtual void flush(ProcId) = 0;
   /// Push every destination's coalesced frames (poll entry, barrier entry,
   /// blocking waits).
-  virtual void flush_all() {}
+  virtual void flush_all() = 0;
 
   /// Deliver every already-arrived message to `sink` without blocking.
-  /// Returns the number delivered.  Makes no syscall when the doorbell has
+  /// Returns the number delivered.  Touches no ring when the doorbell has
   /// not moved since the last sweep.
   virtual std::size_t drain(const MessageSink& sink) = 0;
 
   /// Block until at least one message has been delivered to `sink` or the
   /// timeout expires.  Returns false on timeout (the caller escalates to
-  /// the deadlock report).  Every wake from the kernel sweeps, doorbell or
-  /// not: a socket turns readable before the sender's bump lands.
+  /// the deadlock report).  On rank 0 a child that died mid-run fails the
+  /// wait within about 100 ms, naming the rank.
   virtual bool wait_readable(std::chrono::milliseconds timeout,
                              const MessageSink& sink) = 0;
+
+  /// The deadlock report's transport lines: bytes in flight each way per
+  /// peer, this rank's doorbell value and sleeper count.
+  virtual void describe(std::ostream&) const = 0;
 
   // --- control plane (rank-0 gathers at quiescent points) -----------------
 
@@ -120,19 +120,19 @@ class Transport {
                                            const MessageSink& sink) = 0;
 
   /// Tear down the rank topology.  On ranks != 0 this DOES NOT RETURN: the
-  /// forked child exits with `exit_code` (after closing its sockets).  On
-  /// rank 0 it closes sockets, reaps every child, and returns the number
-  /// that exited abnormally (nonzero status or signal).  Idempotent.
+  /// forked child says bye to rank 0 and exits with `exit_code`.  On rank 0
+  /// it waits for every child's bye, reaps every child, and returns the
+  /// number that exited abnormally (nonzero status or signal).  Idempotent.
   virtual int finalize(int exit_code) = 0;
 };
 
-/// Build the fork + socketpair-mesh transport.  MUST be called before the
+/// Build the fork + shared-ring transport.  MUST be called before the
 /// calling process spawns threads (fork only replicates the calling
 /// thread).  On return, the calling process is rank 0 and ranks 1..N-1 are
 /// live children executing the same program from this point (SPMD).
-std::unique_ptr<Transport> make_socket_transport(std::uint32_t nprocs,
-                                                 std::uint32_t watchdog_ms,
-                                                 std::uint32_t batch_max_msgs = 1,
-                                                 std::uint32_t batch_max_bytes = 64 * 1024);
+std::unique_ptr<Transport> make_proc_transport(std::uint32_t nprocs,
+                                               std::uint32_t watchdog_ms,
+                                               std::uint32_t batch_max_msgs = 1,
+                                               std::uint32_t batch_max_bytes = 64 * 1024);
 
 }  // namespace ace::am

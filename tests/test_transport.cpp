@@ -1,6 +1,6 @@
 // Cross-backend conformance suite: every delivery guarantee the protocol
 // stack relies on must hold identically on the deterministic thread backend
-// and the multi-process socket backend (am/transport.hpp).
+// and the multi-process ring backend (am/transport.hpp).
 //
 // Test mechanics on the proc backend: Machine::create forks, so ranks
 // 1..N-1 execute the test body as real processes and exit inside Machine
@@ -93,7 +93,7 @@ TEST_P(Conformance, PerSenderFifoAllPairs) {
 
 TEST_P(Conformance, FlushLemma) {
   // A message sent before the sender enters a barrier is handled at its
-  // destination before that destination leaves the barrier — on sockets
+  // destination before that destination leaves the barrier — on rings
   // exactly as on threads.
   constexpr std::uint32_t kProcs = 4;
   constexpr int kRounds = 10;
@@ -148,10 +148,10 @@ TEST_P(Conformance, BarrierEpochContinuityAcrossRuns) {
 }
 
 TEST_P(Conformance, BigPayloadsBothDirectionsAtOnce) {
-  // Payloads larger than the socket buffers, sent by both sides
-  // simultaneously: exercises frame reassembly and the sender's
-  // drain-while-blocked path (a naive blocking write would deadlock).
-  constexpr std::size_t kBig = std::size_t{2} << 20;  // 2 MiB, > SO_SNDBUF
+  // Payloads far larger than the rings, sent by both sides simultaneously:
+  // exercises frame reassembly and the sender's drain-while-blocked path
+  // (a naive blocking write would deadlock).
+  constexpr std::size_t kBig = std::size_t{2} << 20;  // 2 MiB, 128 rings full
   constexpr int kEach = 3;
   auto m = make(2);
   std::vector<int> ok(2, 0);
@@ -291,7 +291,7 @@ TEST(TransportOptions, ProcBackendWithOneRankStaysInProcess) {
 
 // ---- cross-backend parity on real kernels ---------------------------------
 //
-// The acceptance bar for the socket backend: the fig7a application kernels
+// The acceptance bar for the proc backend: the fig7a application kernels
 // produce bit-for-bit identical checksums on threads and on processes.
 // run_ace/run_crl fork per call on the proc backend, so everything after a
 // call is rank-0-only code; each body returns its rank's checksum, and the
@@ -368,7 +368,7 @@ TEST(BackendParity, CrlEm3dChecksumMatchesBitForBit) {
 }
 
 TEST(BackendParity, CompiledKernelsMatchBitForBit) {
-  // Table 4's compiled path over sockets: every kernel at the DC level,
+  // Table 4's compiled path over rings: every kernel at the DC level,
   // set up in the harness's set-up phase; each rank returns its partial
   // checksum and protocol-call count, which the harness sums.
   const ace::Registry reg = ace::Registry::with_builtins();
@@ -429,7 +429,7 @@ TEST(BackendParity, StatsAndModeledTimeMatchOnDeterministicWorkload) {
 // --- delivery batching (per-peer coalescing) --------------------------------
 //
 // Both backends coalesce outgoing messages per destination (thread: outbox
-// segments handed over wholesale; sockets: one length-prefixed multi-frame).
+// segments handed over wholesale; proc: one length-prefixed multi-frame).
 // The batching knobs are MachineOptions::batch_max_msgs/batch_max_bytes;
 // everything the protocol stack relies on — per-sender FIFO, the flush
 // lemma, chaos/replay determinism, stats — must be invariant across them.
@@ -640,11 +640,10 @@ TEST(Batching, StatsAndModeledTimeInvariantAcrossKnobs) {
 }
 
 TEST(Batching, ShrunkSndBufForcesPartialWriteResume) {
-  // Regression: with SO_SNDBUF shrunk to a few KiB, a 2 MiB payload takes
-  // hundreds of short ::send calls; the per-peer tx queue must resume at
-  // the exact byte offset with no frame interleaving.  Small messages sent
-  // around each bulk payload prove ordering survives the spill path.
-  ::setenv("ACE_SOCK_SNDBUF", "16384", 1);
+  // Regression: through a 16 KiB ring a 2 MiB payload takes hundreds of
+  // short ring writes; the per-peer tx queue must resume at the exact byte
+  // offset with no frame interleaving.  Small messages sent around each
+  // bulk payload prove ordering survives the spill path.
   constexpr std::size_t kBig = std::size_t{2} << 20;
   constexpr int kEach = 2;
   auto m = Machine::create({.nprocs = 2, .backend = Backend::kProc});
@@ -681,14 +680,13 @@ TEST(Batching, ShrunkSndBufForcesPartialWriteResume) {
     p.barrier();
   });
   EXPECT_EQ(m->finalize(), 0) << "a peer rank recorded a test failure";
-  ::unsetenv("ACE_SOCK_SNDBUF");
 }
 
 // --- the arrival doorbell ---------------------------------------------------
 //
-// A proc rank skips its `recv` sweep while its doorbell has not moved, and a
-// waiting rank yield-spins on the bell before it sleeps in poll(2).  A
-// wake-up lost anywhere in that handoff strands a frame in the kernel (or in
+// A proc rank skips its ring sweep while its doorbell has not moved, and a
+// waiting rank yield-spins on the bell before it sleeps on its futex.  A
+// wake-up lost anywhere in that handoff strands a frame in a ring (or in
 // the spill queue) until the watchdog fires.
 
 class DoorbellPingPong
@@ -696,15 +694,11 @@ class DoorbellPingPong
 
 TEST_P(DoorbellPingPong, EveryMessageArrivesOnceInOrderAtEveryReplyDelay) {
   using std::chrono::microseconds;
-  const auto [batch, small_sndbuf] = GetParam();
-  // A 16 KiB socket buffer turns every bulk frame into a run of short writes
-  // that stall on EAGAIN and spill the peer's frames.
-  if (small_sndbuf) ::setenv("ACE_SOCK_SNDBUF", "16384", 1);
+  const auto [batch, ring_sized] = GetParam();
   auto m = Machine::create({.nprocs = 2,
                             .backend = Backend::kProc,
                             .watchdog_ms = 20'000,
                             .batch_max_msgs = batch});
-  if (small_sndbuf) ::unsetenv("ACE_SOCK_SNDBUF");
   m->child_exit_code = [] { return ::testing::Test::HasFailure() ? 7 : 0; };
   std::vector<std::uint64_t> got(2, 0);  // got[r]: messages r has received
   const auto h = m->register_handler([&](Proc& self, Message& msg) {
@@ -712,9 +706,13 @@ TEST_P(DoorbellPingPong, EveryMessageArrivesOnceInOrderAtEveryReplyDelay) {
         << "message lost, duplicated or reordered";
     got[self.id()] += 1;
   });
-  constexpr std::size_t kBulk = std::size_t{128} << 10;
+  // Every bulk frame overfills the 16 KiB ring: a run of short writes that
+  // wait for room and spill the peer's frames.  The ring-sized payload
+  // leaves the frame a header's length past one ring.
+  const std::size_t kBulk = ring_sized ? std::size_t{16} << 10
+                                       : std::size_t{128} << 10;
   // The replier's delay catches the waiter yield-spinning (0), at the edge
-  // of its spin (50 us) and asleep in poll(2) (2 ms).
+  // of its spin (50 us) and asleep on its futex (2 ms).
   struct Phase {
     microseconds delay;
     int rounds;
@@ -750,12 +748,12 @@ TEST_P(DoorbellPingPong, EveryMessageArrivesOnceInOrderAtEveryReplyDelay) {
         }
       }
       if (p.id() == 0) {
-        // Far inside the 20 s watchdog: no round waited out a poll(2) timeout.
+        // Far inside the 20 s watchdog: no round waited out a sleep slice.
         EXPECT_LT(worst, std::chrono::seconds{1})
             << "reply delay " << ph.delay.count() << " us";
         if (ph.delay >= microseconds{2000}) {
           EXPECT_GT(p.stats().sleeps, sleeps0)
-              << "the waiter never reached its poll(2) sleep";
+              << "the waiter never reached its futex sleep";
         }
       }
     }
@@ -774,6 +772,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Doorbell, IdlePollsDoNotTouchTheSockets) {
+  // (The name predates the rings: an idle poll must not sweep them.)
   auto m = Machine::create({.nprocs = 2, .backend = Backend::kProc});
   m->child_exit_code = [] { return ::testing::Test::HasFailure() ? 7 : 0; };
   bool done = false;
@@ -783,8 +782,8 @@ TEST(Doorbell, IdlePollsDoNotTouchTheSockets) {
     if (p.id() == 1) {
       EXPECT_GT(p.stats().sweeps, 0u) << "the barrier needed no sweep?";
       // Rank 0 sends nothing until it hears from rank 1, so every poll here
-      // finds a quiet bell.  At most one sweep: the barrier release may be
-      // read after a poll(2) wake, before its sender's bump lands.
+      // finds a quiet bell.  At most one sweep: the release may have been
+      // read by a sweep that loaded the bell before the release's bump.
       const std::uint64_t before = p.stats().sweeps;
       for (int i = 0; i < 10'000; ++i) EXPECT_EQ(p.poll(), 0u);
       EXPECT_LE(p.stats().sweeps - before, 1u);
@@ -795,6 +794,49 @@ TEST(Doorbell, IdlePollsDoNotTouchTheSockets) {
     p.barrier();
   });
   EXPECT_EQ(m->finalize(), 0) << "a peer rank recorded a test failure";
+}
+
+// --- peer death and the deadlock report on proc ----------------------------
+
+TEST(ProcDeath, ChildExitMidRunFailsRankZeroWithinTwoSeconds) {
+  // No socket EOF announces a dead peer any more: rank 0 reaps its children
+  // between futex sleep slices, far inside the 20 s watchdog.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_DEATH(
+      {
+        auto m = Machine::create({.nprocs = 2,
+                                  .backend = Backend::kProc,
+                                  .watchdog_ms = 20'000});
+        m->run([](Proc& p) {
+          if (p.id() == 1) ::_exit(3);
+          p.wait_until([] { return false; });
+        });
+      },
+      "peer rank 1 \\(pid [0-9]+\\) died mid-run: exit status 3");
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds{2});
+}
+
+TEST(ProcDeath, DeadlockReportShowsRingState) {
+  // Rank 1 sleeps without polling, so the frame rank 0 wrote stays in the
+  // 0->1 ring when rank 0's watchdog fires.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        auto m = Machine::create(
+            {.nprocs = 2, .backend = Backend::kProc, .watchdog_ms = 300});
+        const auto h = m->register_handler([](Proc&, Message&) {});
+        m->run([&](Proc& p) {
+          if (p.id() == 1) {
+            std::this_thread::sleep_for(std::chrono::seconds{10});
+            return;
+          }
+          p.send(1, h, {}, ace::am::PayloadRef(std::vector<std::byte>(1000)));
+          p.wait_until([] { return false; });
+        });
+      },
+      "rings: bell=[0-9]+ swept=[0-9]+ sleepers=0 spilled=0\n"
+      "  ring 0->1: [1-9][0-9]* B in flight, 1->0: 0 B in flight");
 }
 
 }  // namespace
