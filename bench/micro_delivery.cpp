@@ -2,7 +2,7 @@
 // substrate — the enqueue/mailbox/poll/dispatch path every protocol message
 // rides (src/am/machine.hpp's CRL polling model).
 //
-// Four shapes:
+// Five shapes:
 //   * ping_pong      — one blocking round trip at a time: the latency floor
 //                      a protocol miss stalls for.
 //   * window/N       — N one-word messages pipelined into the peer's
@@ -12,6 +12,10 @@
 //                      copy cost (region-data pushes).
 //   * self           — send-to-self plus poll: pure enqueue/dispatch
 //                      software path, no cross-thread handoff.
+//   * fanout         — 4 procs each share one 8-byte snapshot with every
+//                      peer, then barrier: the StaticUpdate barrier push,
+//                      where one thread makes a payload and another drops
+//                      its last reference.
 //
 // Counters are plain (non-atomic) because a handler runs only on its
 // destination processor's own thread during poll(); each counter is touched
@@ -128,6 +132,35 @@ void BM_SelfDelivery(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_SelfDelivery);
+
+void BM_FanoutAllToAll(benchmark::State& state) {
+  constexpr am::ProcId kProcs = 4;
+  const auto machine = am::Machine::create({.nprocs = kProcs});
+  std::vector<std::uint64_t> sunk(kProcs, 0);  ///< entry q: proc q only
+  const am::HandlerId sink = machine->register_handler(
+      [&](am::Proc& p, am::Message& m) { sunk[p.id()] += m.args[0]; },
+      "bench_fanout_sink");
+  // Rank 0 runs the timed loop; the others run the same number of rounds,
+  // which google-benchmark fixes before the loop starts.
+  const auto rounds = static_cast<std::int64_t>(state.max_iterations);
+  machine->run([&](am::Proc& p) {
+    const auto round = [&](std::uint64_t i) {
+      const auto snap = am::PayloadRef::copy_of(&i, sizeof i);
+      for (am::ProcId q = 0; q < kProcs; ++q)
+        if (q != p.id()) p.send(q, sink, {1}, snap);
+      p.barrier();
+    };
+    std::uint64_t i = 0;
+    if (p.id() == 0) {
+      for (auto _ : state) round(i++);
+    } else {
+      while (static_cast<std::int64_t>(i) < rounds) round(i++);
+    }
+  });
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      state.iterations() * kProcs * (kProcs - 1)));
+}
+BENCHMARK(BM_FanoutAllToAll);
 
 }  // namespace
 

@@ -5,8 +5,8 @@
 // backends carry the processors (am/options.hpp):
 //
 //   * Backend::kThread — one OS thread per processor in this process,
-//     mailboxes are in-memory deques, time is modeled.  Deterministic; the
-//     substrate for tests, fuzzing, and replay.
+//     mailboxes are vectors that poll() swaps out whole, time is modeled.
+//     Deterministic; the substrate for tests, fuzzing, and replay.
 //   * Backend::kProc — one OS *process* per processor, messages serialized
 //     through shared-memory rings (am/transport.hpp).  The creating
 //     process is rank 0; ranks 1..N-1 fork at Machine::create, execute the

@@ -18,8 +18,9 @@ namespace ace::am {
 /// Which substrate carries the processors.
 enum class Backend : std::uint8_t {
   /// One OS thread per processor in this process, mailboxes are in-memory
-  /// deques.  Deterministic under delivery policies; the only backend that
-  /// supports replay logs, fuzzing, and cross-processor introspection.
+  /// vectors that poll() swaps out whole.  Deterministic under delivery
+  /// policies; the only backend that supports replay logs, fuzzing, and
+  /// cross-processor introspection.
   kThread,
   /// One OS *process* per processor (fork + a shared-memory ring per
   /// ordered rank pair); messages are serialized through the rings.  The

@@ -11,8 +11,15 @@
 //   * enqueue -> poll -> dispatch -> handler moves the 8-byte handle, never
 //     the payload bytes (thread backend), and the proc transport
 //     reassembles inbound frames directly into pooled buffers;
-//   * buffers return to a size-class freelist on release, retiring the
-//     per-delivery allocation entirely in steady state.
+//   * buffers of up to 4 KiB come from per-thread magazines: a free list
+//     per size class that make and the last release use with no lock.  A
+//     thread trades whole magazines (M buffers) with one shared depot under
+//     its mutex, and hands them all back when it exits.  Larger classes
+//     trade single buffers with the depot.
+//
+// A buffer returns to the cache of whichever thread drops its last
+// reference, so a sender-allocates / receiver-releases pair moves buffers
+// through the depot one magazine at a time.
 //
 // Ownership rules (see DESIGN.md, "Delivery hot path"): a handler may read
 // its message's payload freely, but must treat the bytes as immutable —
@@ -89,16 +96,6 @@ class PayloadRef {
     h_ = nullptr;
   }
 
-  /// True when this handle is the only reference (mutation is then safe).
-  bool unique() const {
-    return h_ != nullptr && h_->refs.load(std::memory_order_acquire) == 1;
-  }
-
-  /// Copy out to a plain vector (tests / diagnostics).
-  std::vector<std::byte> to_vector() const {
-    return std::vector<std::byte>(begin(), end());
-  }
-
  private:
   struct Header {
     std::atomic<std::uint32_t> refs;
@@ -112,13 +109,14 @@ class PayloadRef {
   static void retain(Header* h) {
     if (h != nullptr) h->refs.fetch_add(1, std::memory_order_relaxed);
   }
-  static void release(Header* h);  // payload.cpp: pool return / free
+  static void release(Header* h);  // payload.cpp: cache return / free
 
   explicit PayloadRef(Header* h) : h_(h) {}
   Header* h_ = nullptr;
 };
 
-/// Pool introspection for tests: buffers currently parked on freelists.
+/// Pool introspection for tests: buffers parked in the depot (a thread's own
+/// magazines join it when the thread exits).
 std::size_t payload_pool_cached();
 
 }  // namespace ace::am

@@ -6,11 +6,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "am/machine.hpp"
+#include "am/payload.hpp"
 
 namespace {
 
@@ -68,6 +70,60 @@ TEST(Machine, PayloadRoundTrip) {
   });
   ASSERT_EQ(received.size(), 64u);
   EXPECT_EQ(received.data()[63], static_cast<std::byte>(63));
+}
+
+// The StaticUpdate barrier-push shape across threads: every proc shares one
+// small and one 4 KiB snapshot with every peer, so buffers are made on one
+// thread and released on whichever receiver drops the last reference.  The
+// bytes must arrive intact, and once the proc threads have exited (handing
+// their magazines to the depot) the pool must hold no more than every
+// thread cache full plus two barrier windows of snapshots.
+TEST(Payload, CrossThreadFanoutRecyclesWithinBound) {
+  constexpr int kProcs = 4;
+  constexpr std::uint64_t kRounds = 400;
+  constexpr std::uint64_t kWindow = 8;  // rounds between barriers
+  constexpr std::size_t kSizes[] = {8, 4096};
+  // Per thread and size class, at most 2·M = 64 buffers are cached.
+  constexpr std::size_t kBound =
+      kProcs * std::size(kSizes) * (64 + 2 * kWindow);
+  auto m_ptr = Machine::create({.nprocs = kProcs});
+  Machine& m = *m_ptr;
+  const auto fill = [](std::uint64_t src, std::uint64_t round, std::size_t i) {
+    return static_cast<std::byte>(src * 31 + round * 7 + i);
+  };
+  std::vector<std::uint64_t> got(kProcs, 0), bad(kProcs, 0);
+  const auto h = m.register_handler([&](Proc& self, Message& msg) {
+    got[self.id()] += 1;
+    const ace::am::PayloadRef& pl = msg.payload;
+    if (pl.size() != msg.args[1]) bad[self.id()] += 1;
+    for (std::size_t i = 0; i < pl.size(); ++i) {
+      if (pl.data()[i] != fill(msg.src, msg.args[0], i)) {
+        bad[self.id()] += 1;
+        break;
+      }
+    }
+  });
+  const std::size_t before = ace::am::payload_pool_cached();
+  m.run([&](Proc& p) {
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+      for (std::size_t n : kSizes) {
+        ace::am::PayloadRef snap = ace::am::PayloadRef::make(n);
+        for (std::size_t i = 0; i < n; ++i)
+          snap.data()[i] = fill(p.id(), round, i);
+        for (ProcId q = 0; q < kProcs; ++q)
+          if (q != p.id()) p.send(q, h, {round, n}, snap);  // shares snap
+      }
+      if (round % kWindow == kWindow - 1) p.barrier();
+    }
+    p.barrier();
+  });
+  for (int q = 0; q < kProcs; ++q) {
+    EXPECT_EQ(got[q], kRounds * std::size(kSizes) * (kProcs - 1)) << q;
+    EXPECT_EQ(bad[q], 0u) << q;
+  }
+  const std::size_t after = ace::am::payload_pool_cached();
+  EXPECT_GT(after, 0u);  // exited threads' magazines reached the depot
+  EXPECT_LE(after, before + kBound);
 }
 
 TEST(Machine, FifoPerMailboxFromOneSender) {
